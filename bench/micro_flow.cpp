@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   // batches a congestion window per solve without moving the makespan.
   cli.add_flag("min-epoch", "512", "epoch floor in cycles");
   cli.add_flag("seed", "1", "placement / generator seed");
-  cli.add_flag("shards", "0", "solver shard count (0 = auto; result-invariant)");
   cli.add_flag("verify-max-n", "65536",
                "run the max-min invariant check on rows up to this n");
   cli.add_flag("bfs-max-n", "16384",
@@ -125,7 +124,6 @@ int main(int argc, char** argv) {
   base_cfg.hosts_per_switch =
       static_cast<std::uint32_t>(cli.get_uint("hosts-per-switch"));
   base_cfg.min_epoch_cycles = cli.get_uint("min-epoch");
-  base_cfg.shards = static_cast<std::uint32_t>(cli.get_uint("shards"));
 
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();

@@ -2,12 +2,10 @@
 #include "dsn/flow/fair_share.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
 #include "dsn/common/error.hpp"
-#include "dsn/common/thread_pool.hpp"
 
 namespace dsn::flow {
 
@@ -17,12 +15,16 @@ namespace {
 /// noise relative to its capacity is full.
 double saturation_eps(double capacity) { return 1e-9 * std::max(1.0, capacity); }
 
-struct ShardRange {
-  std::size_t begin, end;
-};
+constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
 
-ShardRange shard_range(std::size_t total, std::size_t shard, std::size_t shards) {
-  return {total * shard / shards, total * (shard + 1) / shards};
+/// Global resource id -> dense solve-local id. Sized to the capacity vector
+/// once and reused across solves on this thread; each solve resets only the
+/// entries it mapped, so a solve costs O(route pool + used resources), not
+/// O(all resources).
+std::vector<std::uint32_t>& dense_id_map(std::size_t caps) {
+  thread_local std::vector<std::uint32_t> map;
+  if (map.size() < caps) map.resize(caps, kUnmapped);
+  return map;
 }
 
 }  // namespace
@@ -30,7 +32,7 @@ ShardRange shard_range(std::size_t total, std::size_t shard, std::size_t shards)
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
                                    const std::vector<std::uint64_t>& route_begin,
-                                   std::uint32_t max_rounds, std::uint32_t shards) {
+                                   std::uint32_t max_rounds) {
   DSN_REQUIRE(!route_begin.empty(), "route_begin must hold flows + 1 offsets");
   DSN_REQUIRE(route_begin.back() == route_pool.size(),
               "route_begin does not cover the route pool");
@@ -42,113 +44,128 @@ FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
   res.bottleneck.assign(flows, kNoBottleneck);
   if (flows == 0) return res;
 
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(flows, shards != 0 ? shards : 4 * pool.size()));
-
-  // Residual capacity and the number of unfrozen flows crossing each
-  // resource. Counts are plain integers mutated through relaxed atomic_ref:
-  // additions commute, so the totals are exact for any shard interleaving.
-  std::vector<double> residual = capacity;
-  std::vector<std::uint32_t> count(caps, 0);
-  std::vector<std::uint8_t> saturated(caps, 0);
-  std::vector<std::uint8_t> frozen(flows, 0);
-
-  pool.parallel_for(0, num_shards, [&](std::size_t k) {
-    const auto [begin, end] = shard_range(flows, k, num_shards);
-    for (std::size_t f = begin; f < end; ++f) {
-      DSN_REQUIRE(route_begin[f + 1] > route_begin[f],
-                  "every flow must cross at least one resource");
-      for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-        const std::uint32_t c = route_pool[i];
-        DSN_REQUIRE(c < caps, "route resource index out of range");
-        std::atomic_ref<std::uint32_t>(count[c]).fetch_add(1, std::memory_order_relaxed);
-      }
+  // Renumber the used resources densely, in order of first use, and rewrite
+  // the routes in local ids. count[l] is the number of unfrozen flows
+  // crossing l, with multiplicity when a route repeats a resource.
+  std::vector<std::uint32_t>& id_map = dense_id_map(caps);
+  std::vector<std::uint32_t> global;  // local id -> resource id
+  struct ResetIdMap {
+    std::vector<std::uint32_t>& map;
+    const std::vector<std::uint32_t>& mapped;
+    ~ResetIdMap() {
+      for (const std::uint32_t c : mapped) map[c] = kUnmapped;
     }
-  });
-
-  // Resources touched by any flow: the per-round scans only walk this list.
-  std::vector<std::uint32_t> active_caps;
-  for (std::size_t c = 0; c < caps; ++c) {
-    if (count[c] > 0) {
-      DSN_REQUIRE(capacity[c] > 0.0, "a used resource must have positive capacity");
-      active_caps.push_back(static_cast<std::uint32_t>(c));
+  } reset_id_map{id_map, global};
+  std::vector<std::uint32_t> count;
+  std::vector<std::uint32_t> local_pool(route_pool.size());
+  for (std::size_t f = 0; f < flows; ++f) {
+    DSN_REQUIRE(route_begin[f + 1] > route_begin[f],
+                "every flow must cross at least one resource");
+    for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
+      const std::uint32_t c = route_pool[i];
+      DSN_REQUIRE(c < caps, "route resource index out of range");
+      if (id_map[c] == kUnmapped) {
+        id_map[c] = static_cast<std::uint32_t>(global.size());
+        global.push_back(c);
+        count.push_back(0);
+      }
+      local_pool[i] = id_map[c];
+      ++count[id_map[c]];
     }
   }
-  const std::size_t cap_shards =
-      std::max<std::size_t>(1, std::min(active_caps.size(), num_shards));
+  const std::size_t used = global.size();
+
+  // Inverted index: the flows crossing each local resource, in flow order.
+  std::vector<std::uint64_t> users_begin(used + 1, 0);
+  for (std::size_t l = 0; l < used; ++l) users_begin[l + 1] = users_begin[l] + count[l];
+  std::vector<std::uint32_t> users(local_pool.size());
+  {
+    std::vector<std::uint64_t> fill(users_begin.begin(), users_begin.end() - 1);
+    for (std::size_t f = 0; f < flows; ++f) {
+      for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i)
+        users[fill[local_pool[i]]++] = static_cast<std::uint32_t>(f);
+    }
+  }
+
+  // Live resources (count > 0) and the first round's equal increment: the
+  // tightest residual share. A min is order-independent, so the increment is
+  // bitwise the same however the live list is ordered.
+  std::vector<double> residual(used);
+  std::vector<double> eps(used);
+  std::vector<std::uint32_t> live(used);
+  double share = std::numeric_limits<double>::infinity();
+  for (std::size_t l = 0; l < used; ++l) {
+    const double cap = capacity[global[l]];
+    DSN_REQUIRE(cap > 0.0, "a used resource must have positive capacity");
+    residual[l] = cap;
+    eps[l] = saturation_eps(cap);
+    live[l] = static_cast<std::uint32_t>(l);
+    share = std::min(share, cap / count[l]);
+  }
+  std::vector<std::uint8_t> saturated(used, 0);
+  std::vector<std::uint8_t> frozen(flows, 0);
+  std::vector<std::uint32_t> newly_saturated;
 
   // Every round saturates at least one resource, so the loop needs at most
-  // |active resources| rounds; max_rounds 0 means exactly that natural bound.
+  // |used resources| rounds; max_rounds 0 means exactly that natural bound.
   const std::uint32_t round_limit =
       max_rounds != 0 ? max_rounds
                       : static_cast<std::uint32_t>(
-                            std::min<std::size_t>(active_caps.size(),
-                                                  ~std::uint32_t{0}));
+                            std::min<std::size_t>(used, ~std::uint32_t{0}));
+  // Every unfrozen flow has grown by the same increments in the same order,
+  // so one cumulative level is each unfrozen flow's rate, bit for bit.
+  double level = 0.0;
   std::size_t unfrozen = flows;
   while (unfrozen > 0 && res.rounds < round_limit) {
     ++res.rounds;
-
-    // Equal increment for every unfrozen flow: the tightest residual share.
-    // Per-shard minima merge with min — order-independent, so the increment
-    // (and through it every rate) is bitwise reproducible.
-    std::vector<double> shard_min(cap_shards, std::numeric_limits<double>::infinity());
-    pool.parallel_for(0, cap_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(active_caps.size(), k, cap_shards);
-      double local = std::numeric_limits<double>::infinity();
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t c = active_caps[i];
-        if (count[c] == 0) continue;
-        local = std::min(local, residual[c] / count[c]);
-      }
-      shard_min[k] = local;
-    });
-    double share = std::numeric_limits<double>::infinity();
-    for (const double m : shard_min) share = std::min(share, m);
     if (!std::isfinite(share)) break;  // no capacitated resource left (cannot happen)
+    level += share;
 
-    pool.parallel_for(0, num_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(flows, k, num_shards);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (frozen[f] == 0) res.rate[f] += share;
+    newly_saturated.clear();
+    for (const std::uint32_t l : live) {
+      residual[l] -= share * count[l];
+      if (residual[l] <= eps[l]) {
+        saturated[l] = 1;
+        newly_saturated.push_back(l);
       }
-    });
+    }
 
-    pool.parallel_for(0, cap_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(active_caps.size(), k, cap_shards);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t c = active_caps[i];
-        if (count[c] == 0) continue;
-        residual[c] -= share * count[c];
-        if (residual[c] <= saturation_eps(capacity[c])) saturated[c] = 1;
-      }
-    });
-
-    // Freeze flows crossing a saturated resource; their counts leave the
-    // sharing pool so the survivors split the remaining headroom.
-    std::vector<std::uint64_t> shard_frozen(num_shards, 0);
-    pool.parallel_for(0, num_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(flows, k, num_shards);
-      for (std::size_t f = begin; f < end; ++f) {
+    // Freeze the flows crossing a saturated resource at the current level;
+    // their counts leave the sharing pool so the survivors split the
+    // remaining headroom. The bottleneck is the first saturated resource in
+    // route order, whichever saturated resource reached the flow.
+    for (const std::uint32_t s : newly_saturated) {
+      for (std::uint64_t u = users_begin[s]; u < users_begin[s + 1]; ++u) {
+        const std::uint32_t f = users[u];
         if (frozen[f] != 0) continue;
+        frozen[f] = 1;
+        --unfrozen;
+        res.rate[f] = level;
         std::uint32_t bottleneck = kNoBottleneck;
         for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-          if (saturated[route_pool[i]] != 0) {
-            bottleneck = route_pool[i];
-            break;
-          }
+          const std::uint32_t l = local_pool[i];
+          if (bottleneck == kNoBottleneck && saturated[l] != 0) bottleneck = global[l];
+          --count[l];
         }
-        if (bottleneck == kNoBottleneck) continue;
-        frozen[f] = 1;
         res.bottleneck[f] = bottleneck;
-        ++shard_frozen[k];
-        for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-          std::atomic_ref<std::uint32_t>(count[route_pool[i]])
-              .fetch_sub(1, std::memory_order_relaxed);
-        }
       }
-    });
-    for (const std::uint64_t n : shard_frozen) unfrozen -= n;
+    }
+
+    // Drop resources no unfrozen flow crosses and take the next increment.
+    share = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (const std::uint32_t l : live) {
+      if (count[l] == 0) continue;
+      live[kept++] = l;
+      share = std::min(share, residual[l] / count[l]);
+    }
+    live.resize(kept);
+  }
+  if (unfrozen > 0) {
+    // Stopped early: the flows still growing hold the level reached.
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (frozen[f] == 0) res.rate[f] = level;
+    }
   }
   res.converged = unfrozen == 0;
   return res;

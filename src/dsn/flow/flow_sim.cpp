@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "dsn/common/error.hpp"
-#include "dsn/common/thread_pool.hpp"
 #include "dsn/obs/obs.hpp"
 
 namespace dsn::flow {
@@ -100,48 +99,23 @@ void FlowSimulator::map_route(HostId src, HostId dst, FlowRoutes::Scratch& scrat
 
 void FlowSimulator::admit(const std::vector<Demand>& demands) {
   const std::size_t base = flows_.count();
-  const std::size_t nd = demands.size();
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(nd, config_.shards != 0 ? config_.shards
-                                                       : 4 * pool.size()));
-
-  // Routes per shard, merged in shard (= demand) order.
-  std::vector<std::vector<std::uint32_t>> shard_pool(num_shards);
-  std::vector<std::vector<std::uint32_t>> shard_len(num_shards);
-  pool.parallel_for(0, num_shards, [&](std::size_t k) {
-    const std::size_t begin = nd * k / num_shards;
-    const std::size_t end = nd * (k + 1) / num_shards;
-    FlowRoutes::Scratch scratch;
-    std::vector<NodeId> path;
-    std::vector<std::uint32_t> route;
-    for (std::size_t i = begin; i < end; ++i) {
-      route.clear();
-      map_route(demands[i].src, demands[i].dst, scratch, path, route);
-      shard_len[k].push_back(static_cast<std::uint32_t>(route.size()));
-      shard_pool[k].insert(shard_pool[k].end(), route.begin(), route.end());
-    }
-  });
-
+  FlowRoutes::Scratch scratch;
+  std::vector<NodeId> path;
   if (flows_.route_begin.empty()) flows_.route_begin.push_back(0);
-  std::size_t i = 0;
-  for (std::size_t k = 0; k < num_shards; ++k) {
-    flows_.pool.insert(flows_.pool.end(), shard_pool[k].begin(), shard_pool[k].end());
-    for (const std::uint32_t len : shard_len[k]) {
-      const Demand& d = demands[i++];
-      DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
-      flows_.src.push_back(d.src);
-      flows_.dst.push_back(d.dst);
-      flows_.remaining.push_back(static_cast<double>(d.flits));
-      flows_.size.push_back(d.flits);
-      flows_.fct.push_back(0.0);
-      flows_.route_begin.push_back(flows_.route_begin.back() + len);
-    }
+  for (const Demand& d : demands) {
+    DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
+    map_route(d.src, d.dst, scratch, path, flows_.pool);
+    flows_.src.push_back(d.src);
+    flows_.dst.push_back(d.dst);
+    flows_.remaining.push_back(static_cast<double>(d.flits));
+    flows_.size.push_back(d.flits);
+    flows_.fct.push_back(0.0);
+    flows_.route_begin.push_back(flows_.pool.size());
   }
-  active_.reserve(active_.size() + nd);
-  for (std::size_t f = 0; f < nd; ++f)
+  active_.reserve(active_.size() + demands.size());
+  for (std::size_t f = 0; f < demands.size(); ++f)
     active_.push_back(static_cast<std::uint32_t>(base + f));
-  DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, nd);)
+  DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, demands.size());)
 }
 
 namespace {
@@ -211,9 +185,8 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
                         flows_.pool.begin() + flows_.route_begin[f + 1]);
       solve_begin.push_back(solve_pool.size());
     }
-    const FairShareResult fs = max_min_fair_rates(
-        capacity_, solve_pool, solve_begin, config_.max_waterfill_rounds,
-        config_.shards);
+    const FairShareResult fs =
+        max_min_fair_rates(capacity_, solve_pool, solve_begin, config_.max_waterfill_rounds);
     res.max_waterfill_rounds = std::max(res.max_waterfill_rounds, fs.rounds);
     res.waterfill_rounds_total += fs.rounds;
     DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().waterfill_rounds, fs.rounds);)

@@ -1,16 +1,16 @@
 // dsn-slint: deterministic — FlowResult feeds byte-identical replay gates
-// across DSN_THREADS and shard counts; see fair_share.hpp for why every
-// reduction in the tier is partition-independent.
+// across DSN_THREADS values; the tier runs serially (see fair_share.hpp for
+// why it has no parallel path).
 //
 // The flow-level simulation tier. Where the flit simulator moves individual
 // flits cycle by cycle, this tier treats each demand as a fluid *flow* over
 // its switch-level route and advances time in discrete epochs:
 //
-//   1. admit newly emitted demands (routes computed in parallel shards,
-//      merged in shard order);
+//   1. admit newly emitted demands (routes computed in emission order);
 //   2. solve the max-min fair rate allocation over per-resource capacities
 //      (directed link halves + host injection/ejection ports, each 1
-//      flit/cycle like the flit sim) by progressive water-filling;
+//      flit/cycle like the flit sim) by serial, event-driven progressive
+//      water-filling;
 //   3. advance to the earliest flow completion (clamped to the configured
 //      epoch bounds), retire completed flows at their exact completion time,
 //      and hand them to the workload driver, which may emit successors.
@@ -52,8 +52,7 @@ struct FlowConfig {
   /// Per-solve round ceiling; 0 = the natural bound (one saturated resource
   /// per round, at most the number of used resources).
   std::uint32_t max_waterfill_rounds = 0;
-  std::uint32_t shards = 0;                 ///< 0 = auto from the global pool
-  std::uint32_t updown_max_n = 4096;        ///< FlowRoutes table fallback cap
+  std::uint32_t updown_max_n = 4096;  ///< FlowRoutes table fallback cap
   bool verify = false;  ///< run check_max_min on every solve (tests, dsn-lint)
 
   double cycle_ns() const { return static_cast<double>(flit_bits) / link_bw_gbps; }

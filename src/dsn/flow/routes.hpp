@@ -38,7 +38,7 @@ class FlowRoutes {
   const std::string& mode() const { return mode_; }
 
   /// Per-caller scratch for the BFS mode (generation-stamped visit arrays,
-  /// O(n) each); other modes ignore it. One per shard, never shared.
+  /// O(n) each); other modes ignore it. One per caller, never shared.
   struct Scratch {
     std::vector<std::uint32_t> stamp_fwd, stamp_bwd;
     std::vector<NodeId> parent_fwd, parent_bwd;

@@ -1,13 +1,16 @@
 // Property tests for the flow tier's max-min fair-share solver: on fuzzed
 // abstract problems and on real topologies, every converged allocation must
 // satisfy the max-min invariant (feasible, every flow bottlenecked at a
-// saturated resource where it holds a maximal rate), and the solution must be
-// invariant under flow-id permutation and bitwise invariant under shard
-// count. All randomness is seeded.
+// saturated resource where it holds a maximal rate), the solution must be
+// invariant under flow-id permutation, and the event-driven solver must match
+// a plain full-scan reference water-filler bit for bit. All randomness is
+// seeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -28,8 +31,10 @@ struct Problem {
 };
 
 /// Fuzz a fair-share problem: `resources` capacities drawn from a few
-/// magnitudes, `flows` routes of 1..5 distinct resources each.
-Problem fuzz_problem(std::uint32_t resources, std::uint32_t flows, Rng& rng) {
+/// magnitudes, `flows` routes of 1..5 resources each — distinct unless
+/// `allow_repeats`.
+Problem fuzz_problem(std::uint32_t resources, std::uint32_t flows, Rng& rng,
+                     bool allow_repeats = false) {
   Problem p;
   p.capacity.resize(resources);
   for (double& c : p.capacity) c = 0.25 * static_cast<double>(1 + rng.next_below(16));
@@ -41,7 +46,8 @@ Problem fuzz_problem(std::uint32_t resources, std::uint32_t flows, Rng& rng) {
         1 + static_cast<std::uint32_t>(rng.next_below(std::min(5u, resources)));
     while (route.size() < len) {
       const std::uint32_t c = rng.next_below(resources);
-      if (std::find(route.begin(), route.end(), c) == route.end()) route.push_back(c);
+      if (allow_repeats || std::find(route.begin(), route.end(), c) == route.end())
+        route.push_back(c);
     }
     p.pool.insert(p.pool.end(), route.begin(), route.end());
     p.begin.push_back(p.pool.size());
@@ -97,23 +103,94 @@ TEST(FlowFairness, RatesInvariantUnderFlowPermutation) {
   }
 }
 
-TEST(FlowFairness, SolverBitwiseInvariantUnderShardCount) {
-  Rng rng(0x5A4D5);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Problem p = fuzz_problem(4 + rng.next_below(60), 8 + rng.next_below(300), rng);
-    const FairShareResult base =
-        max_min_fair_rates(p.capacity, p.pool, p.begin, 256, /*shards=*/1);
-    for (const std::uint32_t shards : {2u, 3u, 8u, 13u}) {
-      const FairShareResult r =
-          max_min_fair_rates(p.capacity, p.pool, p.begin, 256, shards);
-      ASSERT_EQ(base.rate.size(), r.rate.size());
-      for (std::size_t i = 0; i < base.rate.size(); ++i) {
-        // Bitwise, not approximate: determinism gates replay these bytes.
-        EXPECT_EQ(base.rate[i], r.rate[i]) << "shards=" << shards;
-        EXPECT_EQ(base.bottleneck[i], r.bottleneck[i]) << "shards=" << shards;
+/// Reference water-filler: the plain per-round full-scan algorithm, serial.
+/// Every round takes the tightest residual share over all resources, grows
+/// every unfrozen flow by it, saturates resources, then freezes each
+/// unfrozen flow crossing a saturated resource (bottleneck = first saturated
+/// resource in route order).
+FairShareResult reference_fair_rates(const Problem& p, std::uint32_t max_rounds) {
+  const std::size_t flows = p.begin.size() - 1;
+  const std::size_t caps = p.capacity.size();
+  FairShareResult res;
+  res.rate.assign(flows, 0.0);
+  res.bottleneck.assign(flows, kNoBottleneck);
+  std::vector<double> residual = p.capacity;
+  std::vector<std::uint32_t> count(caps, 0);
+  for (const std::uint32_t c : p.pool) ++count[c];
+  std::vector<std::uint8_t> saturated(caps, 0);
+  std::vector<std::uint8_t> frozen(flows, 0);
+  const auto used = static_cast<std::uint32_t>(
+      std::count_if(count.begin(), count.end(), [](std::uint32_t k) { return k > 0; }));
+  const std::uint32_t limit = max_rounds != 0 ? max_rounds : used;
+  std::size_t unfrozen = flows;
+  while (unfrozen > 0 && res.rounds < limit) {
+    ++res.rounds;
+    double share = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < caps; ++c)
+      if (count[c] != 0) share = std::min(share, residual[c] / count[c]);
+    if (!std::isfinite(share)) break;
+    for (std::size_t f = 0; f < flows; ++f)
+      if (frozen[f] == 0) res.rate[f] += share;
+    for (std::size_t c = 0; c < caps; ++c) {
+      if (count[c] == 0) continue;
+      residual[c] -= share * count[c];
+      if (residual[c] <= 1e-9 * std::max(1.0, p.capacity[c])) saturated[c] = 1;
+    }
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (frozen[f] != 0) continue;
+      for (std::uint64_t i = p.begin[f]; i < p.begin[f + 1]; ++i) {
+        if (saturated[p.pool[i]] != 0) {
+          res.bottleneck[f] = p.pool[i];
+          break;
+        }
       }
+      if (res.bottleneck[f] == kNoBottleneck) continue;
+      frozen[f] = 1;
+      --unfrozen;
+      for (std::uint64_t i = p.begin[f]; i < p.begin[f + 1]; ++i) --count[p.pool[i]];
     }
   }
+  res.converged = unfrozen == 0;
+  return res;
+}
+
+bool has_repeated_resource(const Problem& p) {
+  for (std::size_t f = 0; f + 1 < p.begin.size(); ++f) {
+    std::vector<std::uint32_t> route(p.pool.begin() + p.begin[f],
+                                     p.pool.begin() + p.begin[f + 1]);
+    std::sort(route.begin(), route.end());
+    if (std::adjacent_find(route.begin(), route.end()) != route.end()) return true;
+  }
+  return false;
+}
+
+TEST(FlowFairness, SolverMatchesReferenceBitwise) {
+  Rng rng(0x5A4D5);
+  int stopped = 0, repeated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool allow_repeats = trial % 2 == 1;
+    const Problem p = fuzz_problem(2 + rng.next_below(60), 1 + rng.next_below(300), rng,
+                                   allow_repeats);
+    // Every third problem runs under a small explicit round ceiling, which
+    // stops most of them before they converge.
+    const auto max_rounds =
+        trial % 3 == 2 ? static_cast<std::uint32_t>(1 + rng.next_below(6)) : 0u;
+    const FairShareResult want = reference_fair_rates(p, max_rounds);
+    const FairShareResult got = max_min_fair_rates(p.capacity, p.pool, p.begin, max_rounds);
+    stopped += want.converged ? 0 : 1;
+    repeated += has_repeated_resource(p) ? 1 : 0;
+    ASSERT_EQ(want.rounds, got.rounds) << "trial " << trial;
+    ASSERT_EQ(want.converged, got.converged) << "trial " << trial;
+    ASSERT_EQ(want.rate.size(), got.rate.size()) << "trial " << trial;
+    for (std::size_t f = 0; f < want.rate.size(); ++f) {
+      // Bitwise, not approximate: determinism gates replay these bytes.
+      EXPECT_EQ(want.rate[f], got.rate[f]) << "trial " << trial << " flow " << f;
+      EXPECT_EQ(want.bottleneck[f], got.bottleneck[f]) << "trial " << trial << " flow " << f;
+    }
+  }
+  // The fuzz must actually reach both special cases.
+  EXPECT_GT(stopped, 20);
+  EXPECT_GT(repeated, 20);
 }
 
 TEST(FlowFairness, SingleLinkSharedEqually) {

@@ -489,7 +489,6 @@ int run_flow_command(int argc, const char* const* argv) {
   cli.add_flag("min-epoch", "1",
                "epoch floor in cycles (batches completions per solve; 1 = "
                "exact event stepping)");
-  cli.add_flag("shards", "0", "solver shard count (0 = auto; result-invariant)");
   cli.add_flag("no-verify", "false",
                "skip the per-solve max-min invariant check (faster)");
   cli.add_flag("json", "false", "emit a machine-readable JSON report");
@@ -503,7 +502,6 @@ int run_flow_command(int argc, const char* const* argv) {
   dsn::flow::FlowConfig cfg;
   cfg.hosts_per_switch = static_cast<std::uint32_t>(cli.get_uint("hosts-per-switch"));
   cfg.min_epoch_cycles = cli.get_uint("min-epoch");
-  cfg.shards = static_cast<std::uint32_t>(cli.get_uint("shards"));
   cfg.verify = !cli.get_bool("no-verify");
   dsn::flow::FlowSimulator sim(topo, cfg);
 
