@@ -30,21 +30,17 @@ TreeLoadBound compute_tree_load_bound(const CsrView& csr,
   b.n = csr.num_nodes();
   b.sample_sources = static_cast<std::uint32_t>(sources.size());
   b.links = csr.num_arcs() / 2;
-  const std::vector<std::int64_t> loads = compute_tree_loads(csr, sources);
-
-  std::vector<std::uint64_t> plain(loads.size());
+  std::vector<std::uint64_t> loads = sweep_trees(csr, sources).link_loads;
   for (std::size_t l = 0; l < loads.size(); ++l) {
-    const auto load = static_cast<std::uint64_t>(std::max<std::int64_t>(loads[l], 0));
-    plain[l] = load;
-    b.total += load;
-    if (load > b.max_load) {
-      b.max_load = load;
+    b.total += loads[l];
+    if (loads[l] > b.max_load) {
+      b.max_load = loads[l];
       b.max_link = static_cast<LinkId>(l);
     }
   }
   if (b.links > 0)
     b.mean_load = static_cast<double>(b.total) / static_cast<double>(b.links);
-  b.gini = gini_index(std::move(plain));
+  b.gini = gini_index(std::move(loads));
   if (b.max_load > 0 && b.n > 1 && b.sample_sources > 0) {
     b.max_normalized = static_cast<double>(b.max_load) * static_cast<double>(b.n) /
                        (static_cast<double>(b.sample_sources) *

@@ -4,10 +4,10 @@
 // estimator counts the loads a topology's *canonical BFS trees* put on each
 // physical link — a routing-independent lower bound on congestion that any
 // minimal routing at best equals. The optimizer (dsn/opt) anneals against it
-// incrementally via SampledPathEstimator; this wrapper is the one-shot view
-// for analyzer/tool consumers, exact (all sources) or sampled, sharing the
-// same tree-load kernel and the same normalization so numbers are comparable
-// across dsn-lint commands.
+// through dsn::estimate_paths; this wrapper adds the per-link statistics for
+// analyzer/tool consumers, exact (all sources) or sampled. Both run the same
+// sweep (dsn::sweep_trees) with the same normalization, so numbers are
+// comparable across dsn-lint commands.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ struct TreeLoadBound {
 };
 
 /// Tree-load bound over an explicit source set (deterministic for any thread
-/// count; see dsn::compute_tree_loads).
+/// count; see dsn::sweep_trees).
 TreeLoadBound compute_tree_load_bound(const CsrView& csr,
                                       std::span<const NodeId> sources);
 

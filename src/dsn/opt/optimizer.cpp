@@ -19,11 +19,8 @@ namespace {
 struct OptMetrics {
   obs::MetricId proposals = obs::MetricsRegistry::global().counter("dsn.opt.proposals");
   obs::MetricId accepts = obs::MetricsRegistry::global().counter("dsn.opt.accepts");
-  obs::MetricId resweeps = obs::MetricsRegistry::global().counter("dsn.opt.resweeps");
   obs::MetricId full_sweeps =
       obs::MetricsRegistry::global().counter("dsn.opt.full_sweeps");
-  obs::MetricId affected =
-      obs::MetricsRegistry::global().gauge("dsn.opt.affected_sources");
   obs::MetricId plateau_ns = obs::MetricsRegistry::global().counter("dsn.opt.plateau_ns");
   obs::MetricId plateaus = obs::MetricsRegistry::global().counter("dsn.opt.plateaus");
 
@@ -72,19 +69,16 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     seed_cable += layout.cable_length_m(u, v);
   }
 
-  // Seed estimate (one extra full sweep; per-pass estimators redo it, which
-  // is noise next to passes * iterations proposals).
-  std::uint64_t seed_reachable = 0;
+  // The seed estimate; every pass restarts from it.
+  const std::vector<NodeId> sources = sample_sources(result.n, cfg.estimator);
+  result.sample_sources = static_cast<std::uint32_t>(sources.size());
+  EstimateView seed_est;
   {
     const MutableShortcutSet seed_view(topo);
     result.shortcuts = seed_view.num_shortcuts();
-    const CsrView seed_csr = seed_view.snapshot();
-    const SampledPathEstimator seed_est(seed_csr, cfg.estimator);
-    result.sample_sources = static_cast<std::uint32_t>(seed_est.sources().size());
-    const EstimateView& sv = seed_est.current();
-    seed_reachable = sv.reachable_pairs;
-    result.seed_point = OptPoint{seed_cable, sv.aspl, sv.max_normalized_load,
-                                 sv.throughput_bound, 0, 0};
+    seed_est = estimate_paths(seed_view.snapshot(), sources);
+    result.seed_point = OptPoint{seed_cable, seed_est.aspl, seed_est.max_normalized_load,
+                                 seed_est.throughput_bound, 0, 0};
     result.best_shortcuts.assign(seed_view.shortcuts().begin(),
                                  seed_view.shortcuts().end());
   }
@@ -109,8 +103,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     };
 
     MutableShortcutSet view(topo);
-    CsrView cur = view.snapshot();
-    SampledPathEstimator est(cur, cfg.estimator);
+    EstimateView current = seed_est;
     double cable = seed_cable;
     const std::size_t num_slots = view.num_shortcuts();
     double temperature = cfg.initial_temperature;
@@ -119,7 +112,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     // (endpoint, slot * 2 + side) ordered by endpoint id. Under the linear
     // placement, adjacency in this order is adjacency in cable space, so an
     // exchange between neighboring entries approximately preserves both
-    // shortcut spans — the move class the incremental estimator is built for.
+    // shortcut spans: the cable fine-tuning move.
     std::vector<std::pair<NodeId, std::uint32_t>> endpoint_index;
     endpoint_index.reserve(2 * num_slots);
     for (std::uint32_t s = 0; s < num_slots; ++s) {
@@ -192,31 +185,17 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
         const double cand_cable = cable + pair_cable(new_i) + pair_cable(new_j) -
                                   pair_cable(old_i) - pair_cable(old_j);
 
-        const std::array<std::pair<NodeId, NodeId>, 2> removed{old_i, old_j};
-        const std::array<std::pair<NodeId, NodeId>, 2> added{new_i, new_j};
-        const std::size_t affected = est.count_affected(cur, removed, added);
-        DSN_OBS_GAUGE_SET(OptMetrics::get().affected,
-                          static_cast<std::uint64_t>(affected));
-
-        CsrView next;
-        EstimateView cand;
-        if (affected == 0) {
-          // The swap touches no sampled tree: paths/loads are unchanged and
-          // the candidate differs in cable only — no snapshot, no sweep.
-          cand = est.current();
-        } else {
-          next = view.snapshot();
-          cand = est.evaluate(cur, next);
-        }
+        ++result.full_sweeps;
+        const EstimateView cand = estimate_paths(view.snapshot(), sources);
 
         // Never walk through placements the sampled sweep cannot certify as
         // reachable-equivalent to the seed (swaps cannot disconnect the
         // fixed skeleton, but they can orphan nothing — this guards the
         // estimate itself).
         bool accept = false;
-        if (cand.reachable_pairs >= seed_reachable) {
-          const double cur_obj = objective(cable, est.current().aspl,
-                                           est.current().max_normalized_load);
+        if (cand.reachable_pairs >= seed_est.reachable_pairs) {
+          const double cur_obj =
+              objective(cable, current.aspl, current.max_normalized_load);
           const double cand_obj =
               objective(cand_cable, cand.aspl, cand.max_normalized_load);
           const double delta = cand_obj - cur_obj;
@@ -225,13 +204,11 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
         }
         if (!accept) {
           view.undo_last();
-          est.discard();
           continue;
         }
 
-        est.commit();
+        current = cand;
         cable = cand_cable;
-        cur = affected == 0 ? view.snapshot() : std::move(next);
         index_remove(old_i.first, static_cast<std::uint32_t>(2 * i));
         index_remove(old_i.second, static_cast<std::uint32_t>(2 * i + 1));
         index_remove(old_j.first, static_cast<std::uint32_t>(2 * j));
@@ -255,12 +232,8 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
       }
       temperature = std::max(cfg.min_temperature, temperature * cfg.cooling);
     }
-
-    result.resweeps += est.resweeps();
-    result.full_sweeps += est.full_sweeps();
-    DSN_OBS_ADD(OptMetrics::get().resweeps, est.resweeps());
-    DSN_OBS_ADD(OptMetrics::get().full_sweeps, est.full_sweeps());
   }
+  DSN_OBS_ADD(OptMetrics::get().full_sweeps, result.full_sweeps);
 
   result.front = archive.front_2d();
   result.archive_size = archive.size();

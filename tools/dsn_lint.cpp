@@ -634,8 +634,8 @@ int run_optimize_command(int argc, const char* const* argv) {
                           "placement in both cable and ASPL"});
   }
   // The optimizer's seed estimate and the analyzer's bound count the same
-  // canonical trees over the same sources; any gap means the incremental
-  // estimator and the one-shot kernel diverged.
+  // canonical trees over the same sources through the same sweep; any gap
+  // means the optimizer's seed estimate no longer matches the analyzer's.
   if (std::abs(res.seed_point.max_normalized_load - seed_bound.max_normalized) >
       1e-12) {
     violations.push_back(
@@ -676,8 +676,7 @@ int run_optimize_command(int argc, const char* const* argv) {
     }
     std::cout << "\n  moves  " << res.proposals << " proposals, "
               << res.accepted << " accepted, " << res.invalid << " invalid, "
-              << res.resweeps << " re-sweeps, " << res.full_sweeps
-              << " full sweeps\n"
+              << res.full_sweeps << " sampled sweeps\n"
               << "  best   cable " << res.best_cable_m_at_seed_aspl
               << " m at aspl <= seed (" << res.cable_saved_pct << "% saved, "
               << (res.beats_seed ? "beats seed" : "does not beat seed")
@@ -843,9 +842,8 @@ int run_stats_command(int argc, const char* const* argv) {
         "dsn.sim.packet_latency_cycles", "dsn.flow.flows",
         "dsn.flow.flows_completed", "dsn.flow.epochs",
         "dsn.flow.waterfill_rounds", "dsn.flow.fct_cycles",
-        "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.resweeps",
-        "dsn.opt.full_sweeps", "dsn.opt.affected_sources", "dsn.opt.plateau_ns",
-        "dsn.opt.plateaus"}) {
+        "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.full_sweeps",
+        "dsn.opt.plateau_ns", "dsn.opt.plateaus"}) {
     if (final_snap.find(required) == nullptr) {
       violations.push_back({"metric-missing",
                             std::string("expected metric '") + required +
