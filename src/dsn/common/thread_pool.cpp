@@ -31,6 +31,11 @@ struct PoolMetrics {
 #endif  // DSN_OBS
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  // Workers write pool metrics until the destructor joins them. Statics die
+  // in reverse order of construction, so the metrics registry must finish
+  // constructing before this pool does: registered first by a worker, it
+  // would be destroyed at exit while the global pool's workers still run.
+  DSN_OBS_ONLY((void)PoolMetrics::get();)
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {

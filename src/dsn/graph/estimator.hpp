@@ -3,12 +3,17 @@
 // (graph, sources), never of thread count or timing.
 //
 // Sampled path/load estimator for the shortcut-placement optimizer
-// (dsn/opt). A seeded sample of BFS sources is swept with one sharded
-// 64-lane MS-BFS pass; each source contributes its hop sum, its reach count
-// and the per-link loads of its canonical shortest-path tree (parent =
-// minimum (neighbor id, link id) at distance d - 1). The estimate is
-// stateless: every candidate graph costs exactly one sweep. Re-sweeping only
-// the sources whose trees a swap touches does not pay — on small-world graphs
+// (dsn/opt). A seeded sample of BFS sources is swept in sharded 64-lane
+// batches; each source contributes its hop sum, its reach count and the
+// per-link loads of its canonical shortest-path tree (parent = minimum
+// (neighbor id, link id) at distance d - 1). A batch is one fused kernel:
+// the MS-BFS forward pass records each level's (node, lane-mask)
+// discoveries, then one reverse pass, deepest level first, hands every
+// lane's subtree weight to its canonical parent for all 64 lanes at once —
+// no per-lane distance row is ever materialized. The estimate is
+// stateless: every candidate graph costs exactly one sweep, and only the
+// sweep's scratch (SweepWorkspace) outlives it. Re-sweeping only the
+// sources whose trees a swap touches does not pay — on small-world graphs
 // nearly every swap touches most sampled trees (measured, DESIGN.md §10).
 #pragma once
 
@@ -18,6 +23,7 @@
 
 #include "dsn/common/types.hpp"
 #include "dsn/graph/csr.hpp"
+#include "dsn/graph/msbfs.hpp"
 
 namespace dsn {
 
@@ -54,21 +60,6 @@ std::vector<NodeId> sample_sources(NodeId n, std::uint32_t count, std::uint64_t 
 /// count.
 std::vector<NodeId> sample_sources(NodeId n, const EstimatorConfig& cfg);
 
-/// Scratch for accumulate_tree_loads (reused across calls).
-struct TreeLoadScratch {
-  std::vector<NodeId> order;           // nodes by descending distance
-  std::vector<std::uint64_t> weight;   // subtree destination counts
-  std::vector<std::size_t> bucket;     // counting-sort offsets by distance
-};
-
-/// Add the per-link loads of the canonical shortest-path tree rooted at the
-/// unique dist-0 node: every node v with dist[v] != kUnreachable routes to
-/// the root through its canonical parent — the minimum-id neighbor u with
-/// dist[u] == dist[v] - 1 (ties on parallel links broken by minimum link id).
-/// link_loads is indexed by the CsrView's link ids. O(n + m).
-void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist,
-                           std::span<std::uint64_t> link_loads, TreeLoadScratch& scratch);
-
 /// Totals of one sweep over a source set.
 struct TreeSweep {
   std::vector<std::uint64_t> link_loads;  ///< canonical-tree loads by link id
@@ -76,13 +67,36 @@ struct TreeSweep {
   std::uint64_t reachable_pairs = 0;
 };
 
-/// One sharded 64-lane MS-BFS sweep from `sources` under the global thread
-/// pool, folding every source's tree loads (accumulate_tree_loads), hop sum
-/// and reach count. Per-shard integer totals merge in shard order, so the
-/// result is identical for any thread count.
+/// One shard's working set for sweep_trees. The weight matrix is all zero
+/// between batches, so a reused shard never re-clears it.
+struct TreeSweepShard {
+  MsBfsScratch bfs;
+  std::vector<std::uint32_t> weight;      ///< n x 64 subtree weights, node-major
+  std::vector<NodeId> level_nodes;        ///< forward-pass discoveries, by level
+  std::vector<std::uint64_t> level_masks; ///< lanes that reached level_nodes[k]
+  std::vector<std::size_t> level_start;   ///< level L = [start[L], start[L + 1])
+  TreeSweep part;                         ///< this shard's totals
+};
+
+/// Per-shard scratch kept alive across sweeps: a caller that sweeps many
+/// graphs of one size (the optimizer) allocates it once. It grows to the
+/// largest shard count and node count it has seen.
+struct SweepWorkspace {
+  std::vector<TreeSweepShard> shards;
+};
+
+/// One sharded 64-lane sweep from `sources` under the global thread pool,
+/// folding every source's canonical-tree loads, hop sum and reach count.
+/// Per-shard integer totals merge in shard order, so the result is
+/// identical for any thread count.
+TreeSweep sweep_trees(const CsrView& csr, std::span<const NodeId> sources,
+                      SweepWorkspace& workspace);
+
+/// One-shot sweep_trees with a workspace of its own.
 TreeSweep sweep_trees(const CsrView& csr, std::span<const NodeId> sources);
 
 /// Estimate of `csr` over `sources` (non-empty, n >= 2): one sweep_trees.
-EstimateView estimate_paths(const CsrView& csr, std::span<const NodeId> sources);
+EstimateView estimate_paths(const CsrView& csr, std::span<const NodeId> sources,
+                            SweepWorkspace& workspace);
 
 }  // namespace dsn

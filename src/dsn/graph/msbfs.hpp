@@ -31,15 +31,25 @@ struct MsBfsScratch {
   std::vector<NodeId> next_frontier;   ///< nodes with a nonzero next word
 };
 
+/// Default level hook of msbfs_sweep: ignores every level.
+struct MsBfsNoLevelHook {
+  void operator()(std::uint32_t, std::span<const NodeId>, const std::uint64_t*) const {}
+};
+
 /// Core bit-parallel sweep. Starts one BFS lane per source (lane i =
 /// sources[i], bit i) and invokes on_reach(v, level, fresh) for every
 /// discovery event: lane set `fresh` first reached node v at hop `level`
 /// (>= 1; the level-0 self-discovery of each source is not reported).
-/// After the call scratch.seen[v] bit i tells whether lane i reached v.
+/// Once a level is complete, on_level(level, nodes, masks) lists it: every
+/// node in `nodes` (distinct, in a data-determined order) was first reached
+/// by lane set masks[v] at that level. It runs for level 0 (the sources)
+/// and for every later level that reached anything; `masks` is valid only
+/// during the call. After the sweep scratch.seen[v] bit i tells whether
+/// lane i reached v, and scratch.visit and scratch.next are all zero.
 /// Every lane's event sequence is exactly a BFS from its source.
-template <typename OnReach>
+template <typename OnReach, typename OnLevel = MsBfsNoLevelHook>
 void msbfs_sweep(const CsrView& g, std::span<const NodeId> sources, MsBfsScratch& scratch,
-                 OnReach&& on_reach) {
+                 OnReach&& on_reach, OnLevel&& on_level = OnLevel{}) {
   const NodeId n = g.num_nodes();
   const std::size_t b = sources.size();
   DSN_REQUIRE(b >= 1 && b <= kMsBfsBatch, "batch size must be in [1, 64]");
@@ -57,6 +67,7 @@ void msbfs_sweep(const CsrView& g, std::span<const NodeId> sources, MsBfsScratch
     scratch.visit[src] |= std::uint64_t{1} << i;
     scratch.seen[src] |= std::uint64_t{1} << i;
   }
+  on_level(std::uint32_t{0}, std::span<const NodeId>(scratch.frontier), scratch.visit.data());
 
   std::uint32_t level = 0;
   std::uint64_t* const seen = scratch.seen.data();
@@ -89,6 +100,8 @@ void msbfs_sweep(const CsrView& g, std::span<const NodeId> sources, MsBfsScratch
     } else {
       for (const NodeId u : scratch.frontier) expand(u, visit[u]);
     }
+    if (!scratch.next_frontier.empty())
+      on_level(level, std::span<const NodeId>(scratch.next_frontier), next);
     std::swap(visit, next);  // next is all zero again after the swap
     scratch.frontier.swap(scratch.next_frontier);
   }

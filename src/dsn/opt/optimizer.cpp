@@ -23,6 +23,7 @@ struct OptMetrics {
       obs::MetricsRegistry::global().counter("dsn.opt.full_sweeps");
   obs::MetricId plateau_ns = obs::MetricsRegistry::global().counter("dsn.opt.plateau_ns");
   obs::MetricId plateaus = obs::MetricsRegistry::global().counter("dsn.opt.plateaus");
+  obs::MetricId sweep_ns = obs::MetricsRegistry::global().counter("dsn.opt.sweep_ns");
 
   static const OptMetrics& get() {
     static OptMetrics metrics;
@@ -69,14 +70,16 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     seed_cable += layout.cable_length_m(u, v);
   }
 
-  // The seed estimate; every pass restarts from it.
+  // The seed estimate; every pass restarts from it. One sweep workspace
+  // serves every estimate of the run.
   const std::vector<NodeId> sources = sample_sources(result.n, cfg.estimator);
   result.sample_sources = static_cast<std::uint32_t>(sources.size());
+  SweepWorkspace workspace;
   EstimateView seed_est;
   {
     const MutableShortcutSet seed_view(topo);
     result.shortcuts = seed_view.num_shortcuts();
-    seed_est = estimate_paths(seed_view.snapshot(), sources);
+    seed_est = estimate_paths(seed_view.snapshot(), sources, workspace);
     result.seed_point = OptPoint{seed_cable, seed_est.aspl, seed_est.max_normalized_load,
                                  seed_est.throughput_bound, 0, 0};
     result.best_shortcuts.assign(seed_view.shortcuts().begin(),
@@ -186,12 +189,18 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
                                   pair_cable(old_i) - pair_cable(old_j);
 
         ++result.full_sweeps;
-        const EstimateView cand = estimate_paths(view.snapshot(), sources);
+        const CsrView snapshot = view.snapshot();
+        EstimateView cand;
+        {
+          DSN_OBS_TIMER(OptMetrics::get().sweep_ns);
+          cand = estimate_paths(snapshot, sources, workspace);
+        }
 
-        // Never walk through placements the sampled sweep cannot certify as
-        // reachable-equivalent to the seed (swaps cannot disconnect the
-        // fixed skeleton, but they can orphan nothing — this guards the
-        // estimate itself).
+        // Never accept a placement whose sampled sweep reaches fewer pairs
+        // than the seed's. Swaps never touch the fixed links, so where
+        // those alone connect the graph (a ring) no swap can cut a pair;
+        // where they do not, a swap can disconnect the graph, and this
+        // guard rejects it.
         bool accept = false;
         if (cand.reachable_pairs >= seed_est.reachable_pairs) {
           const double cur_obj =

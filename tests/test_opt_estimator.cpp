@@ -3,7 +3,9 @@
 // optimizer built on it (dsn/opt). The estimator's contract is exactness: in
 // exact mode (sample = every source) it must equal the whole-graph sweep
 // bit-for-bit, and on any graph its sweep must equal a plain per-source BFS
-// reference written below. The optimizer's fronts are pinned by golden
+// reference written below — parallel links, one-lane and tail batches, dense
+// MS-BFS levels and disconnected graphs included, through a workspace reused
+// across sweeps. The optimizer's fronts are pinned by golden
 // digests recorded while an incremental re-sweep estimator was still in use,
 // so its removal is proven front-preserving on the families it served.
 // The OptDeterminism suite is registered under `ctest -L determinism` via
@@ -40,11 +42,12 @@ TEST(OptEstimator, ExactModeMatchesWholeGraphSweep) {
   std::vector<Topology> topos;
   for (const std::string& name : names) topos.push_back(make_topology_by_name(name, 256, 3));
   topos.push_back(make_watts_strogatz(256, 4, 0.3, 5));
+  SweepWorkspace workspace;
   for (const Topology& topo : topos) {
     const CsrView csr(topo.graph);
     const std::vector<NodeId> sources = sample_sources(csr.num_nodes(), EstimatorConfig{});
     ASSERT_EQ(sources.size(), topo.graph.num_nodes()) << topo.name;
-    const EstimateView est = estimate_paths(csr, sources);
+    const EstimateView est = estimate_paths(csr, sources, workspace);
 
     const PathStats exact = compute_path_stats(csr);
     EXPECT_EQ(est.aspl, exact.avg_shortest_path) << topo.name;
@@ -61,11 +64,13 @@ TEST(OptEstimator, SampledEstimateConverges) {
   const CsrView csr(topo.graph);
   const PathStats exact = compute_path_stats(csr);
 
+  SweepWorkspace workspace;
   double prev_err = 1e9;
   for (const std::uint32_t samples : {128u, 256u, 1024u}) {
     EstimatorConfig cfg;
     cfg.sample_sources = samples;
-    const EstimateView est = estimate_paths(csr, sample_sources(csr.num_nodes(), cfg));
+    const EstimateView est =
+        estimate_paths(csr, sample_sources(csr.num_nodes(), cfg), workspace);
     const double err = std::abs(est.aspl - exact.avg_shortest_path) / exact.avg_shortest_path;
     // Source means concentrate tightly (every source averages over all n-1
     // destinations), so even an eighth of the sources lands close.
@@ -125,6 +130,20 @@ std::vector<std::pair<NodeId, NodeId>> ring_with_chords(NodeId n, NodeId chords)
   return edges;
 }
 
+std::vector<NodeId> all_nodes(NodeId n) {
+  std::vector<NodeId> all(n);
+  for (NodeId v = 0; v < n; ++v) all[v] = v;
+  return all;
+}
+
+/// The topology's links in link-id order.
+std::vector<std::pair<NodeId, NodeId>> edge_list(const Topology& topo) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (LinkId l = 0; l < topo.graph.num_links(); ++l)
+    edges.push_back(topo.graph.link_endpoints(l));
+  return edges;
+}
+
 bool has_edge(const std::vector<std::pair<NodeId, NodeId>>& edges, NodeId a, NodeId b) {
   for (const auto& [u, v] : edges)
     if ((u == a && v == b) || (u == b && v == a)) return true;
@@ -133,10 +152,12 @@ bool has_edge(const std::vector<std::pair<NodeId, NodeId>>& edges, NodeId a, Nod
 
 /// Apply 50 random valid swaps of the second endpoints of two links drawn
 /// from [first_swappable, edges.size()), checking the sweep and the estimate
-/// against the reference after each one.
+/// against the reference after each one. One workspace serves every sweep,
+/// as in the optimizer.
 void check_sweeps_against_reference(std::vector<std::pair<NodeId, NodeId>> edges, NodeId n,
                                     std::size_t first_swappable,
                                     std::span<const NodeId> sources, std::uint64_t seed) {
+  SweepWorkspace workspace;
   Rng rng(seed);
   const std::size_t pool = edges.size() - first_swappable;
   int swaps = 0;
@@ -155,12 +176,12 @@ void check_sweeps_against_reference(std::vector<std::pair<NodeId, NodeId>> edges
     ++swaps;
 
     const CsrView csr(n, edges);
-    const TreeSweep got = sweep_trees(csr, sources);
+    const TreeSweep got = sweep_trees(csr, sources, workspace);
     const TreeSweep want = reference_sweep(n, edges, sources);
     ASSERT_EQ(got.sum_hops, want.sum_hops) << "swap " << swaps;
     ASSERT_EQ(got.reachable_pairs, want.reachable_pairs) << "swap " << swaps;
     ASSERT_EQ(got.link_loads, want.link_loads) << "swap " << swaps;
-    const EstimateView est = estimate_paths(csr, sources);
+    const EstimateView est = estimate_paths(csr, sources, workspace);
     ASSERT_EQ(est.sum_hops, want.sum_hops) << "swap " << swaps;
     ASSERT_EQ(est.reachable_pairs, want.reachable_pairs) << "swap " << swaps;
     ASSERT_EQ(est.max_link_load,
@@ -174,17 +195,86 @@ TEST(OptEstimator, SweepMatchesReferenceAfterSwaps) {
   // Ring + chords plus one isolated node, so unreachable pairs count too;
   // every source (7 MS-BFS batches, the last one partial). Only chords move.
   constexpr NodeId kRing = 400;
-  std::vector<NodeId> all(kRing + 1);
-  for (NodeId v = 0; v <= kRing; ++v) all[v] = v;
-  check_sweeps_against_reference(ring_with_chords(kRing, 8), kRing + 1, kRing, all, 17);
+  check_sweeps_against_reference(ring_with_chords(kRing, 8), kRing + 1, kRing,
+                                 all_nodes(kRing + 1), 17);
 
   // DSN with a 150-source sample: any link moves, ring links included.
   const Topology topo = make_topology_by_name("dsn", 256, 2);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (LinkId l = 0; l < topo.graph.num_links(); ++l)
-    edges.push_back(topo.graph.link_endpoints(l));
   const auto n = static_cast<NodeId>(topo.graph.num_nodes());
-  check_sweeps_against_reference(edges, n, 0, sample_sources(n, 150, 5), 23);
+  check_sweeps_against_reference(edge_list(topo), n, 0, sample_sources(n, 150, 5), 23);
+}
+
+/// Bitwise comparison of sweep_trees (one-shot and through `workspace`)
+/// with the reference on one graph.
+void expect_sweep_matches_reference(NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges,
+                                    std::span<const NodeId> sources,
+                                    SweepWorkspace& workspace, const std::string& label) {
+  const CsrView csr(n, edges);
+  const TreeSweep want = reference_sweep(n, edges, sources);
+  for (const TreeSweep& got : {sweep_trees(csr, sources), sweep_trees(csr, sources, workspace)}) {
+    EXPECT_EQ(got.sum_hops, want.sum_hops) << label;
+    EXPECT_EQ(got.reachable_pairs, want.reachable_pairs) << label;
+    EXPECT_EQ(got.link_loads, want.link_loads) << label;
+  }
+}
+
+TEST(OptEstimator, ParallelLinksTieBreakOnLowestLinkId) {
+  // Ring + chords with every chord doubled or tripled: a tree edge over a
+  // parallel bundle must load the bundle's lowest link id only.
+  constexpr NodeId kN = 96;
+  std::vector<std::pair<NodeId, NodeId>> edges = ring_with_chords(kN, 6);
+  const std::size_t plain = edges.size();
+  for (std::size_t l = kN; l < plain; ++l) {
+    edges.emplace_back(edges[l].second, edges[l].first);
+    if (l % 2 == 0) edges.push_back(edges[l]);
+  }
+  edges.emplace_back(1, 0);  // a parallel ring link as well
+  SweepWorkspace workspace;
+  expect_sweep_matches_reference(kN, edges, all_nodes(kN), workspace, "all sources");
+  expect_sweep_matches_reference(kN, edges, sample_sources(kN, 9, 3), workspace, "9 sources");
+}
+
+TEST(OptEstimator, SingleLaneAndTailBatches) {
+  // One source is a one-lane batch; 65 sources leave a one-lane tail batch
+  // in a shard of its own.
+  const Topology topo = make_topology_by_name("dsn", 256, 4);
+  const std::vector<std::pair<NodeId, NodeId>> edges = edge_list(topo);
+  const auto n = static_cast<NodeId>(topo.graph.num_nodes());
+  SweepWorkspace workspace;
+  for (const NodeId src : {NodeId{0}, NodeId{77}, n - 1}) {
+    const std::vector<NodeId> one{src};
+    expect_sweep_matches_reference(n, edges, one, workspace, "source " + std::to_string(src));
+  }
+  expect_sweep_matches_reference(n, edges, sample_sources(n, 65, 11), workspace, "65 sources");
+  expect_sweep_matches_reference(n, edges, sample_sources(n, 129, 12), workspace, "129 sources");
+}
+
+TEST(OptEstimator, DenseLevelsMatchReference) {
+  // Star + ring: from any source the frontier covers most of the graph
+  // within two hops, so the MS-BFS takes its dense ascending scan.
+  constexpr NodeId kN = 200;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 1; v < kN; ++v) edges.emplace_back(0, v);
+  for (NodeId v = 1; v < kN; ++v) edges.emplace_back(v, v + 1 == kN ? 1 : v + 1);
+  SweepWorkspace workspace;
+  expect_sweep_matches_reference(kN, edges, all_nodes(kN), workspace, "all sources");
+  expect_sweep_matches_reference(kN, edges, sample_sources(kN, 70, 9), workspace, "70 sources");
+}
+
+TEST(OptEstimator, DisconnectedComponentsMatchReference) {
+  // Two ring + chords components of different sizes; sources in both.
+  std::vector<std::pair<NodeId, NodeId>> edges = ring_with_chords(120, 5);
+  constexpr NodeId kOffset = 120;
+  for (const auto& [u, v] : ring_with_chords(90, 4))
+    edges.emplace_back(u + kOffset, v + kOffset);
+  constexpr NodeId kN = 210;
+  SweepWorkspace workspace;
+  expect_sweep_matches_reference(kN, edges, all_nodes(kN), workspace, "all sources");
+  expect_sweep_matches_reference(kN, edges, sample_sources(kN, 40, 2), workspace, "40 sources");
+  const CsrView csr(kN, edges);
+  const EstimateView est = estimate_paths(csr, all_nodes(kN), workspace);
+  EXPECT_FALSE(est.sample_connected);
+  EXPECT_EQ(est.reachable_pairs, 120u * 119u + 90u * 89u);
 }
 
 std::uint64_t fnv1a(const std::string& bytes) {

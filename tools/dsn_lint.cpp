@@ -774,7 +774,8 @@ int run_stats_command(int argc, const char* const* argv) {
   stages.emplace_back("graph", registry.snapshot());
 
   // Opt stage: a short annealing run on the same instance exercises the
-  // optimizer's proposal/accept counters, drift gauge and plateau timer.
+  // optimizer's proposal/accept counters, its plateau and sweep timers and
+  // the estimator's tree-fold timer.
   {
     dsn::opt::OptimizerConfig ocfg;
     ocfg.seed = cli.get_uint("seed");
@@ -843,7 +844,8 @@ int run_stats_command(int argc, const char* const* argv) {
         "dsn.flow.flows_completed", "dsn.flow.epochs",
         "dsn.flow.waterfill_rounds", "dsn.flow.fct_cycles",
         "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.full_sweeps",
-        "dsn.opt.plateau_ns", "dsn.opt.plateaus"}) {
+        "dsn.opt.plateau_ns", "dsn.opt.plateaus", "dsn.opt.sweep_ns",
+        "dsn.graph.tree_fold_ns"}) {
     if (final_snap.find(required) == nullptr) {
       violations.push_back({"metric-missing",
                             std::string("expected metric '") + required +
