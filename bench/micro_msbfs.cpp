@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   }
 
   const auto repeat = std::max<std::uint64_t>(1, cli.get_uint("repeat"));
-  const bool run_legacy = cli.get_bool("legacy");
+  const bool time_legacy = cli.get_bool("legacy");
   const bool check = cli.get_bool("check");
   const std::uint64_t seed = cli.get_uint("seed");
 
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       row.set("path_stats_ms", msbfs_ms);
       row.set("eccentricities_ms", ecc_ms);
 
-      if (run_legacy) {
+      if (time_legacy) {
         double legacy_ms = 0.0;
         dsn::PathStats legacy;
         for (std::uint64_t r = 0; r < repeat; ++r) {

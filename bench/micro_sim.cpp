@@ -1,6 +1,6 @@
-// Microbenchmark for the active-set simulator core (dsn/sim/active_core.cpp)
-// against the legacy full-scan core: simulated cycles per wall-clock second
-// across network size, offered load and shard count, on the paper's DSN
+// Microbenchmark for the active-set simulator core (dsn/sim/active_core.cpp):
+// simulated cycles per wall-clock second across network size, offered load
+// and shard count, on the paper's DSN
 // topology driven by the table-free custom routing policy (the only policy
 // whose state is algebraic, so n = 65536 switches needs no routing tables).
 //
@@ -12,12 +12,12 @@
 //
 //   build/bench/micro_sim --json BENCH_sim.json
 //
-// --check replays every legacy-core row against the active core and fails
-// (exit 1) unless the SimResult JSON dumps are byte-identical, so CI can use
-// a small --n-list run as a correctness + JSON-shape smoke without timing
-// gates. The legacy core is skipped above --legacy-max-n switches: its
-// per-cycle full scan is exactly the cost this engine removes, and at 65536
-// switches one legacy run would dominate the whole sweep.
+// --check compares every shard count's SimResult JSON dump with the first
+// swept shard count's dump for the same (n, load) and fails (exit 1) unless
+// they are byte-identical, so CI can use a small --n-list run as a
+// correctness + JSON-shape smoke without timing gates. The legacy_* and
+// speedup columns of the committed BENCH_sim.json are a frozen record of the
+// retired full-scan core; this binary no longer writes them.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -74,12 +74,12 @@ double cycles_per_sec(const TimedRun& run) {
 
 int main(int argc, char** argv) {
   dsn::Cli cli(
-      "Active-set simulator core microbenchmark (baseline: the legacy "
-      "full-scan core; both cores produce byte-identical SimResult)");
+      "Active-set simulator core microbenchmark (SimResult is byte-identical "
+      "for every shard count)");
   cli.add_flag("n-list", "64,1024,16384,65536", "comma-separated switch counts");
   // 0.5 is the low-load headline point; 2 is a busy-but-unsaturated network
   // (past the knee the drain phase dominates wall time at n = 65536 without
-  // telling us anything new about either core).
+  // telling us anything new about the core).
   cli.add_flag("load-list", "0.5,2", "offered Gbps per host");
   cli.add_flag("threads-list", "1,4", "active-core shard counts (sim_threads)");
   cli.add_flag("pattern", "uniform", "traffic pattern (see make_traffic)");
@@ -87,11 +87,9 @@ int main(int argc, char** argv) {
   cli.add_flag("measure", "1000", "measurement cycles");
   cli.add_flag("drain", "30000", "drain-cap cycles");
   cli.add_flag("repeat", "1", "timing repetitions (best-of)");
-  cli.add_flag("legacy", "true", "also time the legacy core and report speedup");
-  cli.add_flag("legacy-max-n", "16384",
-               "skip the legacy core above this switch count");
   cli.add_flag("check", "true",
-               "fail unless legacy and active SimResult dumps are byte-identical");
+               "fail unless every shard count's SimResult dump is byte-identical "
+               "to the first shard count's");
   cli.add_flag("json", "", "also write the JSON report to this path");
   cli.add_flag("trace", "",
                "write a Chrome-trace JSON of the run (sim.run spans; view at "
@@ -111,8 +109,6 @@ int main(int argc, char** argv) {
   }
 
   const auto repeat = std::max<std::uint64_t>(1, cli.get_uint("repeat"));
-  const bool run_legacy = cli.get_bool("legacy");
-  const std::uint64_t legacy_max_n = cli.get_uint("legacy-max-n");
   const bool check = cli.get_bool("check");
   const std::string pattern = cli.get("pattern");
 
@@ -136,15 +132,8 @@ int main(int argc, char** argv) {
       dsn::SimConfig cfg = base_cfg;
       cfg.offered_gbps_per_host = load;
 
-      TimedRun legacy;
-      const bool timed_legacy = run_legacy && n <= legacy_max_n;
-      if (timed_legacy) {
-        cfg.legacy_core = true;
-        legacy = time_run(topo, policy, *traffic, cfg, repeat);
-      }
-
+      std::string first_dump;
       for (const std::uint64_t threads : cli.get_uint_list("threads-list")) {
-        cfg.legacy_core = false;
         cfg.sim_threads = static_cast<std::uint32_t>(threads);
         const TimedRun active = time_run(topo, policy, *traffic, cfg, repeat);
 
@@ -157,16 +146,12 @@ int main(int argc, char** argv) {
         row.set("cycles", active.cycles);
         row.set("wall_ms", active.wall_ms);
         row.set("cycles_per_sec", cycles_per_sec(active));
-        if (timed_legacy) {
-          row.set("legacy_wall_ms", legacy.wall_ms);
-          row.set("legacy_cycles_per_sec", cycles_per_sec(legacy));
-          row.set("speedup",
-                  active.wall_ms > 0.0 ? legacy.wall_ms / active.wall_ms : 0.0);
-          if (check) {
-            const bool ok = active.dump == legacy.dump;
-            row.set("check", ok ? "ok" : "MISMATCH");
-            if (!ok) all_ok = false;
-          }
+        if (first_dump.empty()) {
+          first_dump = active.dump;
+        } else if (check) {
+          const bool ok = active.dump == first_dump;
+          row.set("check", ok ? "ok" : "MISMATCH");
+          if (!ok) all_ok = false;
         }
         results.push_back(std::move(row));
         std::cerr << "done " << topo.name << " load=" << load
@@ -202,7 +187,7 @@ int main(int argc, char** argv) {
 #endif
 
   if (check && !all_ok) {
-    std::cerr << "CHECK FAILED: legacy and active SimResult dumps differ\n";
+    std::cerr << "CHECK FAILED: SimResult dumps differ across shard counts\n";
     return 1;
   }
   return 0;

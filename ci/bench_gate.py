@@ -9,7 +9,9 @@ committed BENCH_*.json baseline promised, in two modes:
     headline claims future PRs must not regress (sweep extents, scale rows,
     speedup floors) — never absolute timings.
   * --smoke: the report came from a fresh small-n CI run; only the shape and
-    the per-row correctness checks are gated, which are runner-independent.
+    the per-row correctness checks are gated, which are runner-independent,
+    plus any bench-specific smoke checks (e.g. that the correctness verdicts
+    a fresh run must carry are present).
 
 A gate never stops at the first failure: every violation is collected and
 listed, so a red CI run shows the whole picture at once. Exit 0 prints
@@ -24,8 +26,9 @@ Usage from a gate script:
     sys.exit(GATE.run())
 
 check_row(gate, path, row) runs in both modes on rows that have all required
-keys; check_committed(gate, path, rows) runs only in committed mode. Both
-report violations through gate.fail(msg). Rows carrying a "check" field are
+keys; check_committed(gate, path, rows) runs only in committed mode and
+check_smoke(gate, path, rows) only in --smoke mode. All report violations
+through gate.fail(msg). Rows carrying a "check" field are
 gated on it equaling "ok" in both modes — that field is always a correctness
 verdict computed by the bench binary itself.
 """
@@ -36,7 +39,8 @@ import sys
 
 class BenchGate:
     def __init__(self, *, name, bench, unit, top_keys, row_keys, row_name,
-                 check_row=None, check_committed=None, doc=None,
+                 check_row=None, check_committed=None, check_smoke=None,
+                 doc=None,
                  smoke_help="fresh CI run: gate shape + per-row correctness "
                             "checks only, no timing or sweep-extent gates"):
         self.name = name
@@ -47,6 +51,7 @@ class BenchGate:
         self.row_name = row_name
         self.check_row = check_row
         self.check_committed = check_committed
+        self.check_smoke = check_smoke
         self.doc = doc
         self.smoke_help = smoke_help
         self.errors = []
@@ -104,6 +109,8 @@ class BenchGate:
         rows = self.check_shape(args.report, report)
         if rows and not args.smoke and self.check_committed:
             self.check_committed(self, args.report, rows)
+        if rows and args.smoke and self.check_smoke:
+            self.check_smoke(self, args.report, rows)
 
         if self.errors:
             print(f"{self.name}-bench-gate: {len(self.errors)} check(s) "

@@ -6,15 +6,19 @@ Validates a micro_sim JSON report. Two modes:
   * committed (default): the report is the repository-root BENCH_sim.json —
     the perf trajectory the active-set core promised. Beyond the shape, this
     asserts the headline claims future PRs must not regress structurally:
-    every legacy-vs-active byte-equivalence check passed, the sweep covers
-    multiple sizes / loads / shard counts, at least one n >= 65536
-    configuration ran (the table-free-policy scale target), and at least one
-    n >= 16384 row at the lowest swept load shows >= 10x speedup over the
-    legacy full-scan core.
+    every recorded byte-equivalence check passed (the committed rows compare
+    the retired legacy core with the active core), the sweep covers multiple sizes /
+    loads / shard counts, at least one n >= 65536 configuration ran (the
+    table-free-policy scale target), and at least one n >= 16384 row at the
+    lowest swept load shows >= 10x speedup over the legacy full-scan core.
+    The committed legacy_* / speedup columns are a frozen record: that core
+    is retired, and a fresh micro_sim run no longer writes them.
   * --smoke: the report came from a fresh small-n CI run used as a
-    correctness + JSON-shape smoke; only the shape and the equivalence
+    correctness + JSON-shape smoke; only the shape and the shard-equivalence
     checks are gated — never timings, speedups, or sweep extents, which
-    depend on the runner.
+    depend on the runner. Every row whose sim_threads differs from the first
+    swept shard count must carry check == "ok": micro_sim --check compares
+    it byte-for-byte with the first shard count's run at the same (n, load).
 
 Exits 1 listing every failed check — never just the first.
 """
@@ -41,9 +45,8 @@ def row_name(row):
 def check_row(gate, path, row):
     if row["cycles"] <= 0 or row["cycles_per_sec"] <= 0:
         gate.fail(f"{path}: row {row_name(row)} has non-positive throughput")
-    # Legacy comparison fields travel as a unit; a partial set means the
-    # bench row logic drifted. The 'check' field (gated by bench_gate) rides
-    # with them: the byte-identical SimResult replay.
+    # Legacy comparison fields (committed rows only) travel as a unit; a
+    # partial set means the row was edited by hand.
     present = LEGACY_KEYS & set(row)
     if present and present != LEGACY_KEYS:
         gate.fail(f"{path}: row {row_name(row)} has only {sorted(present)} of "
@@ -84,10 +87,25 @@ def check_committed(gate, path, rows):
                   f"promises >= {SPEEDUP_FLOOR:.0f}x")
 
 
+def check_smoke(gate, path, rows):
+    # bench_gate fails any check value but "ok"; here a missing verdict
+    # fails too, so a fresh report cannot pass without a shard comparison.
+    first_threads = rows[0].get("sim_threads")
+    compared = [row for row in rows if row.get("sim_threads") != first_threads]
+    if not compared:
+        gate.fail(f"{path}: every row ran sim_threads={first_threads}; the "
+                  "smoke needs a second shard count to compare against")
+    for row in compared:
+        if "check" not in row:
+            gate.fail(f"{path}: row {row_name(row)} has no shard-equivalence "
+                      f"check against sim_threads={first_threads} (run "
+                      "micro_sim with --check true)")
+
+
 GATE = BenchGate(name="sim", bench="micro_sim", unit="cycles_per_sec",
                  top_keys=TOP_KEYS, row_keys=ROW_KEYS, row_name=row_name,
                  check_row=check_row, check_committed=check_committed,
-                 doc=__doc__,
+                 check_smoke=check_smoke, doc=__doc__,
                  smoke_help="fresh CI run: gate shape + equivalence checks "
                             "only, no timing or sweep-extent gates")
 

@@ -29,11 +29,15 @@ import check_bench_sim  # noqa: E402
 
 def toy_gate(**overrides):
     committed_calls = []
+    smoke_calls = []
 
     def check_committed(gate, path, rows):
         committed_calls.append(len(rows))
         if len(rows) < 2:
             gate.fail(f"{path}: need >= 2 rows")
+
+    def check_smoke(gate, path, rows):
+        smoke_calls.append(len(rows))
 
     def check_row(gate, path, row):
         if row["value"] <= 0:
@@ -43,10 +47,12 @@ def toy_gate(**overrides):
                   top_keys={"bench", "unit", "results"},
                   row_keys={"name", "value"},
                   row_name=lambda row: f"(name={row.get('name')})",
-                  check_row=check_row, check_committed=check_committed)
+                  check_row=check_row, check_committed=check_committed,
+                  check_smoke=check_smoke)
     kwargs.update(overrides)
     gate = BenchGate(**kwargs)
     gate.committed_calls = committed_calls
+    gate.smoke_calls = smoke_calls
     return gate
 
 
@@ -86,6 +92,13 @@ class BenchGateFrameworkTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("(smoke, 1 rows)", out)
         self.assertEqual(gate.committed_calls, [])
+        self.assertEqual(gate.smoke_calls, [1])
+
+    def test_committed_skips_smoke_hook(self):
+        gate = toy_gate()
+        code, _, err = run_gate(gate, good_report())
+        self.assertEqual(code, 0, err)
+        self.assertEqual(gate.smoke_calls, [])
 
     def test_committed_hook_failure(self):
         gate = toy_gate()
@@ -195,6 +208,61 @@ class CommittedBaselineTest(unittest.TestCase):
 
     def test_opt_baseline(self):
         self.run_real(check_bench_opt, "BENCH_opt.json")
+
+
+class SimGateSmokeTest(unittest.TestCase):
+    """The sim gate's --smoke mode on synthetic fresh micro_sim reports:
+    every row past the first swept shard count must carry a passing
+    shard-equivalence check."""
+
+    def make_report(self):
+        def row(n, threads, check=None):
+            r = {"topology": f"dsn-{n}", "n": n, "hosts": 4 * n,
+                 "load_gbps_per_host": 0.5, "sim_threads": threads,
+                 "cycles": 1000, "wall_ms": 10.0, "cycles_per_sec": 1e5}
+            if check is not None:
+                r["check"] = check
+            return r
+
+        return {"bench": "micro_sim", "unit": "cycles_per_sec",
+                "pattern": "uniform", "warmup_cycles": 200,
+                "measure_cycles": 400, "drain_cycles": 30000,
+                "results": [row(64, 1), row(64, 4, check="ok"),
+                            row(256, 1), row(256, 4, check="ok")]}
+
+    def run_sim(self, report):
+        gate = copy.copy(check_bench_sim.GATE)
+        gate.errors = []
+        return run_gate(gate, report, "--smoke")
+
+    def test_fresh_report_passes(self):
+        code, _, err = self.run_sim(self.make_report())
+        self.assertEqual(code, 0, err)
+
+    def test_missing_shard_check_fails(self):
+        # A report written without --check carries no verdict at all; it
+        # must not pass as an equivalence smoke.
+        report = self.make_report()
+        del report["results"][3]["check"]
+        code, _, err = self.run_sim(report)
+        self.assertEqual(code, 1)
+        self.assertIn("(n=256, load=0.5, threads=4) has no shard-equivalence "
+                      "check", err)
+
+    def test_mismatch_fails(self):
+        report = self.make_report()
+        report["results"][1]["check"] = "MISMATCH"
+        code, _, err = self.run_sim(report)
+        self.assertEqual(code, 1)
+        self.assertIn("check='MISMATCH'", err)
+
+    def test_single_shard_count_fails(self):
+        report = self.make_report()
+        report["results"] = [r for r in report["results"]
+                             if r["sim_threads"] == 1]
+        code, _, err = self.run_sim(report)
+        self.assertEqual(code, 1)
+        self.assertIn("needs a second shard count", err)
 
 
 class OptGateInvariantTest(unittest.TestCase):

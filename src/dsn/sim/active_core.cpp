@@ -1,11 +1,11 @@
-// dsn-slint: deterministic — the active-set core must replay byte-identically
-// against the legacy full-scan core for any shard count; every work list is
-// kept in (or restored to) ascending component order before processing and
-// every cross-shard merge runs in shard order at an epoch barrier.
+// dsn-slint: deterministic — results are byte-identical for any shard count
+// and pinned by committed golden digests; every work list is kept in (or
+// restored to) ascending component order before processing and every
+// cross-shard merge runs in shard order at an epoch barrier.
 //
-// Active-set simulator engine. The legacy core pays O(switches × ports × vcs)
-// per cycle regardless of load; this engine touches only components with
-// work:
+// The flit simulator's engine. A full scan of every switch, port and VC
+// costs O(switches × ports × vcs) per cycle regardless of load; this engine
+// touches only components with work:
 //
 //   - a wakeup calendar per shard (ring of per-cycle buckets + a far heap)
 //     holds exact-time events: wire arrivals, credit returns, head-ready
@@ -16,20 +16,29 @@
 //     dsn::ThreadPool with three parallel phases per cycle (deliver+allocate,
 //     switch allocation, NIC streaming) separated by serial merge sections.
 //
-// Determinism argument (the equivalence suite asserts all of this):
+// Order contract (tests/test_sim_core_equivalence.cpp checks it across
+// shard counts and against committed digests):
 //   - every wire queue and every credit queue has exactly one writer (the
 //     single upstream (switch, port) or the port's own NIC) and switch
 //     allocation grants at most one flit per output port per cycle, so at
 //     most one push per queue per cycle exists and cross-shard pushes can be
 //     mailboxed and drained at the barrier in shard order without changing
 //     any queue's contents;
-//   - work lists are processed in ascending global component id — exactly
-//     the legacy scan order — so arbitration (output-VC claiming, round-robin
-//     pointers, RNG draws) sees identical state in identical order;
+//   - work lists are processed in ascending global component id (switch,
+//     then port, then VC; hosts ascending), so arbitration (output-VC
+//     claiming, round-robin pointers, RNG draws) sees the same state in the
+//     same order for every shard count;
 //   - packet pool slots and ids are assigned in the serial injection section
-//     in host order, and per-shard frees/latencies/traces/stat deltas are
-//     merged in shard order, which equals the legacy per-cycle append order
+//     in ascending host order, and per-shard frees/latencies/traces/stat
+//     deltas are merged in shard order, which is ascending switch order
 //     because shards cover ascending switch ranges.
+//
+// Switch allocation (sa_switch / sa_apply_grant) arbitrates one switch for
+// one cycle: round-robin over the input VCs holding each output port, at
+// most one flit per input port and per output port, credit-based flow
+// control. Output ports are visited in ascending order; within a port the
+// listed active VCs are visited in cyclic order from the port's round-robin
+// pointer, and the first one with a free input port and a credit wins.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -39,10 +48,11 @@
 #include <vector>
 
 #include "dsn/common/epoch.hpp"
+#include "dsn/common/error.hpp"
 #include "dsn/common/thread_pool.hpp"
+#include "dsn/obs/obs.hpp"
 #include "dsn/sim/sim_metrics.hpp"
 #include "dsn/sim/simulator.hpp"
-#include "dsn/sim/switch_kernel.hpp"
 
 namespace dsn {
 
@@ -86,6 +96,7 @@ class ActiveCore {
   using Arrival = Simulator::Arrival;
   using CreditReturn = Simulator::CreditReturn;
   using InputVc = Simulator::InputVc;
+  using OutputVc = Simulator::OutputVc;
   using SwitchState = Simulator::SwitchState;
   using NicState = Simulator::NicState;
 
@@ -131,7 +142,7 @@ class ActiveCore {
     Calendar cal;
     /// Input VCs awaiting VC allocation (head ready, not yet granted).
     /// Sorted ascending before processing; blocked entries stay listed so
-    /// they are re-arbitrated every cycle exactly like the legacy scan.
+    /// they are re-arbitrated every cycle.
     std::vector<std::uint32_t> alloc_pending;
     bool alloc_dirty = false;
     /// Switches with at least one active input VC holding buffered flits.
@@ -142,7 +153,15 @@ class ActiveCore {
     /// Cross-shard pushes, drained at the post-SA barrier in shard order.
     std::vector<std::vector<WireMail>> wire_out;
     std::vector<std::vector<CreditMail>> credit_out;
-    Simulator::SaScratch scratch;
+    // Switch-allocation scratch, preallocated to the widest switch (no
+    // per-cycle container writes in the hot loop): input_used entries are
+    // set during one switch's arbitration and reset via the used_inputs undo
+    // list before sa_switch returns. rr_candidates packs (out_port,
+    // RR-cyclic key, VC index) into one word per active VC so one sort
+    // yields the arbitration order.
+    std::vector<std::uint8_t> input_used;
+    std::vector<std::uint32_t> used_inputs;
+    std::vector<std::uint64_t> rr_candidates;
     std::vector<RouteCandidate> cand_scratch;
     std::vector<PacketSlot> freed;
     std::vector<PacketSlot> ttl_out;
@@ -154,91 +173,25 @@ class ActiveCore {
     std::uint64_t d_meas_delivered = 0;
     std::uint64_t d_meas_hops = 0;
     std::uint64_t d_delivered = 0;
-    std::uint64_t d_epoch_delivered = 0;
     std::uint64_t d_inflight_dec = 0;
     bool d_progress = false;
-    bool d_delivered_any = false;
     // Per-shard instrumentation counts (folded once per cycle, serially).
     std::uint64_t c_events = 0;
     std::uint64_t c_alloc_checks = 0;
     std::uint64_t c_sa_visits = 0;
   };
 
-  /// Switch-allocation sink for one shard: same-shard pushes go straight to
-  /// the target queue (plus a calendar registration), cross-shard pushes are
-  /// mailboxed; accounting goes to the shard delta.
-  struct ShardSink {
-    ActiveCore* C;
-    Shard* sh;
-    std::size_t s;
-
-    void push_wire(NodeId down_sw, std::uint32_t dport, const Arrival& a) {
-      const std::uint32_t gid = C->wire_base_[down_sw] + dport;
-      const std::size_t dest = C->shard_of_switch_[down_sw];
-      if (dest == s) {
-        C->S.switches_[down_sw].wire[dport].push_back(a);
-        sh->cal.schedule(std::max(a.cycle, C->now_ + 1), C->now_,
-                         enc_event(kEvWire, gid));
-      } else {
-        sh->wire_out[dest].push_back({gid, a});
-      }
-    }
-    void push_credit(NodeId up_sw, std::uint32_t idx, const CreditReturn& c) {
-      const std::uint32_t gid = C->ivc_base_[up_sw] + idx;
-      const std::size_t dest = C->shard_of_switch_[up_sw];
-      if (dest == s) {
-        C->S.switches_[up_sw].credits[idx].push_back(c);
-        sh->cal.schedule(std::max(c.cycle, C->now_ + 1), C->now_,
-                         enc_event(kEvCredit, gid));
-      } else {
-        sh->credit_out[dest].push_back({gid, c});
-      }
-    }
-    void add_ejected_flits(std::uint32_t flits) { sh->d_ejected += flits; }
-    void on_measured_delivery(Packet& pkt, std::uint64_t eject) {
-      ++sh->d_meas_delivered;
-      sh->d_meas_hops += pkt.hops;
-      DSN_OBS_OBSERVE(SimMetrics::get().latency_cycles, eject - pkt.gen_cycle);
-      sh->latencies.push_back(static_cast<std::uint32_t>(eject - pkt.gen_cycle));
-      // Over-approximate the global trace cap with the pre-cycle global size
-      // (stable during the parallel phase); the serial merge enforces the
-      // exact cut in shard order — identical to the legacy fill order.
-      if (C->S.config_.record_packet_traces &&
-          C->S.traces_.size() + sh->traces.size() < C->S.config_.trace_limit) {
-        sh->traces.push_back({pkt.id, pkt.src_host, pkt.dst_host, pkt.gen_cycle,
-                              pkt.inject_cycle, eject, pkt.hops, pkt.retries});
-      }
-    }
-    void on_delivery(std::uint64_t, std::uint64_t) {
-      ++sh->d_delivered;
-      ++sh->d_epoch_delivered;
-      sh->d_delivered_any = true;
-    }
-    void release_packet(PacketSlot slot) {
-      ++sh->d_inflight_dec;
-      sh->freed.push_back(slot);
-    }
-    void after_grant(NodeId u, std::uint32_t idx, bool went_idle) {
-      InputVc& ivc = C->S.switches_[u].in[idx];
-      // The granted VC was listed active (active + nonempty was a grant
-      // precondition); recompute its membership after the pop.
-      if (went_idle || ivc.buffer.empty()) C->sa_remove(u, idx);
-      // Tail departure exposes the next packet's head (if buffered): re-arm
-      // its allocation wakeup from the recorded ready time.
-      if (went_idle && !ivc.buffer.empty() && ivc.buffer.front().head) {
-        DSN_ASSERT(!ivc.head_ready.empty(), "queued head must have a ready time");
-        const std::uint32_t gid = C->ivc_base_[u] + idx;
-        sh->cal.schedule(std::max(ivc.head_ready.front(), C->now_ + 1), C->now_,
-                         enc_event(kEvHead, gid));
-      }
-    }
-    void on_progress(std::uint64_t) { sh->d_progress = true; }
-  };
-
   void build();
   void rebuild_active_sets();
   void phase_deliver_allocate(std::size_t s);
   void phase_switch_allocation(std::size_t s);
+  void sa_switch(std::size_t s, NodeId u);
+  void sa_apply_grant(std::size_t s, NodeId u, std::uint32_t op,
+                      std::uint32_t granted);
+  void push_wire(std::size_t s, NodeId down_sw, std::uint32_t dport,
+                 const Arrival& a);
+  void push_credit(std::size_t s, NodeId up_sw, std::uint32_t idx,
+                   const CreditReturn& c);
   void phase_nic_stream(std::size_t s);
   void serial_inject();
   void serial_ttl_purge();
@@ -257,9 +210,9 @@ class ActiveCore {
   }
   /// List input VC `local` of switch `u` as active (state kActive with a
   /// nonempty buffer) for switch allocation, listing the switch itself on
-  /// first membership. The per-switch lists are unordered sets — the
-  /// sa_switch_active kernel re-sorts by round-robin key, so insertion and
-  /// removal order never reach arbitration.
+  /// first membership. The per-switch lists are unordered sets — sa_switch
+  /// re-sorts by round-robin key, so insertion and removal order never reach
+  /// arbitration.
   void sa_add(NodeId u, std::uint32_t local) {
     const std::uint32_t gid = ivc_base_[u] + local;
     if (sa_member_[gid]) return;
@@ -304,7 +257,7 @@ class ActiveCore {
   std::vector<std::uint8_t> sa_listed_;     ///< per switch
   std::vector<std::uint8_t> sa_member_;     ///< per global IVC id: in sa_active_
   /// Per switch: local indices of active+nonempty input VCs — the candidate
-  /// set sa_switch_active arbitrates over (unordered; kernel sorts by RR key).
+  /// set sa_switch arbitrates over (unordered; sa_switch sorts by RR key).
   std::vector<std::vector<std::uint32_t>> sa_active_;
   std::vector<std::uint8_t> nic_listed_;    ///< per host
 
@@ -372,13 +325,15 @@ void ActiveCore::build() {
       2;
   const std::uint64_t horizon = next_pow2(span);
 
+  std::uint32_t max_ports = 0;
+  for (const SwitchState& sw : S.switches_) max_ports = std::max(max_ports, sw.num_ports);
   shards_.resize(nshards_);
   for (Shard& sh : shards_) {
     sh.cal.init(horizon);
     sh.wire_out.resize(nshards_);
     sh.credit_out.resize(nshards_);
-    sh.scratch.input_used.assign(S.max_ports_, 0);
-    sh.scratch.used_inputs.reserve(S.max_ports_);
+    sh.input_used.assign(max_ports, 0);
+    sh.used_inputs.reserve(max_ports);
   }
 
   window_end_ = S.config_.warmup_cycles + S.config_.measure_cycles;
@@ -486,10 +441,12 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
   const HostId host_begin = shard_begin_[s] * S.config_.hosts_per_switch;
   const HostId host_end = shard_begin_[s + 1] * S.config_.hosts_per_switch;
 
-  // Open-loop Bernoulli draws: RNG consumption matches the legacy generator
-  // exactly (one bernoulli per live host per pre-window cycle, plus the
-  // destination draw on success); the packets are materialized in host order
-  // by the serial injection section.
+  // Open-loop Bernoulli generation, which stops at the end of the
+  // measurement window so the drain can complete. Each live host's own RNG
+  // stream takes one bernoulli draw per cycle, plus the destination draw on
+  // success; hosts of a halted switch draw nothing (their stream pauses and
+  // resumes on revival). The serial injection section materializes the
+  // packets in ascending host order.
   if (!S.use_trace_) {
     const double rate = S.config_.packet_rate_per_cycle();
     if (rate > 0.0 && now_ < window_end_) {
@@ -535,16 +492,21 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
   sh.c_events += bucket.size();
   bucket.clear();
 
-  // Strided TTL sweep over this shard's NIC queues (same stride as legacy).
+  // Queued packets age out too: a NIC frozen by a dead source switch (or a
+  // retry queue whose destination never heals) would otherwise hold its
+  // packets in flight forever and wedge the drain. The sweep over this
+  // shard's NIC queues runs every ttl_sweep_stride cycles: TTL deadlines are
+  // coarse, so scanning every queue every cycle is pure overhead at high n.
   if (S.config_.packet_ttl_cycles != 0 &&
       now_ % S.config_.ttl_sweep_stride == 0) {
     S.sweep_nic_ttl(now_, host_begin, host_end, sh.ttl_out);
   }
 
-  // VC allocation over the pending list in ascending global IVC id — the
-  // legacy (switch, port, vc) scan order — so output-VC claiming conflicts
-  // resolve identically. Blocked entries stay listed (re-arbitrated every
-  // cycle); granted or stale entries are unlisted in place.
+  // VC allocation over the pending list in ascending global IVC id, i.e.
+  // (switch, port, vc) order, so output-VC claiming conflicts resolve the
+  // same way for every shard count. Blocked entries stay listed
+  // (re-arbitrated every cycle); granted or stale entries are unlisted in
+  // place.
   if (sh.alloc_dirty) {
     std::sort(sh.alloc_pending.begin(), sh.alloc_pending.end());
     sh.alloc_dirty = false;
@@ -564,9 +526,10 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
       alloc_listed_[gid] = 0;
       continue;
     }
-    // TTL guard mirrors the legacy allocation scan: expired heads are
-    // collected (purged serially after the phase) and stay listed — the
-    // purge rebuild resets every list anyway.
+    // TTL guard: heads stuck past their deadline (a destination inside a
+    // dead region, or a livelocked detour) are collected, purged serially
+    // after the phase so the drop accounting stays exact, and stay listed —
+    // the purge rebuild resets every list anyway.
     if (S.config_.packet_ttl_cycles != 0 &&
         now_ - S.packets_[ivc.buffer.front().packet].gen_cycle >
             S.config_.packet_ttl_cycles) {
@@ -593,7 +556,6 @@ void ActiveCore::phase_switch_allocation(std::size_t s) {
     std::sort(sh.sa_list.begin(), sh.sa_list.end());
     sh.sa_dirty = false;
   }
-  ShardSink sink{this, &sh, s};
   std::size_t keep = 0;
   for (std::size_t i = 0; i < sh.sa_list.size(); ++i) {
     const NodeId u = sh.sa_list[i];
@@ -602,12 +564,164 @@ void ActiveCore::phase_switch_allocation(std::size_t s) {
       continue;
     }
     ++sh.c_sa_visits;
-    // The restricted-arbitration kernel: O(active VCs) per switch instead of
-    // the full O(ports x vcs) scan, byte-identical grants and stall counts.
-    S.sa_switch_active(u, now_, in_window_, sa_active_[u], sh.scratch, sink);
+    sa_switch(s, u);
     sh.sa_list[keep++] = u;
   }
   sh.sa_list.resize(keep);
+}
+
+void ActiveCore::sa_switch(std::size_t s, NodeId u) {
+  Shard& sh = shards_[s];
+  SwitchState& sw = S.switches_[u];
+  const std::uint32_t total_ivcs = sw.num_ports * S.config_.vcs;
+  DSN_ASSERT(total_ivcs < (1u << 20), "cand encoding holds 20-bit VC indices");
+
+  // Order every active VC by (output port, cyclic distance from that port's
+  // round-robin pointer). Encoded op<<40 | key<<20 | idx so one sort yields
+  // both the per-port grouping and the in-port arbitration order: O(active
+  // log active) per switch instead of O(ports x vcs). Keys use the pre-grant
+  // pointers, which is sound: a grant only moves its own port's pointer, and
+  // later candidates of the same port are skipped anyway.
+  auto& cands = sh.rr_candidates;
+  cands.clear();
+  for (const std::uint32_t idx : sa_active_[u]) {
+    const std::uint32_t op = sw.in[idx].out_port;
+    const std::uint32_t rr = sw.sa_rr[op];
+    const std::uint32_t key = idx >= rr ? idx - rr : idx + total_ivcs - rr;
+    cands.push_back((std::uint64_t{op} << 40) | (std::uint64_t{key} << 20) | idx);
+  }
+  std::sort(cands.begin(), cands.end());
+
+  for (std::size_t i = 0; i < cands.size();) {
+    const std::uint32_t op = static_cast<std::uint32_t>(cands[i] >> 40);
+    std::uint32_t granted = total_ivcs;
+    for (; i < cands.size() && static_cast<std::uint32_t>(cands[i] >> 40) == op;
+         ++i) {
+      if (granted != total_ivcs) continue;  // grant made: drain the group
+      const std::uint32_t idx = static_cast<std::uint32_t>(cands[i] & 0xFFFFFu);
+      const InputVc& ivc = sw.in[idx];
+      // A listed VC may have gone idle or empty, or lost its input port to
+      // an earlier grant this cycle: skip it. Only a credit stall counts.
+      if (ivc.state != InputVc::State::kActive || ivc.out_port != op) continue;
+      if (sh.input_used[idx / S.config_.vcs]) continue;
+      if (ivc.buffer.empty()) continue;
+      if (sw.out[op * S.config_.vcs + ivc.out_vc].credits == 0) {
+        DSN_OBS_ADD(SimMetrics::get().credit_stalls, 1);
+        continue;
+      }
+      granted = idx;
+    }
+    if (granted != total_ivcs) sa_apply_grant(s, u, op, granted);
+  }
+
+  for (const std::uint32_t in_port : sh.used_inputs) sh.input_used[in_port] = 0;
+  sh.used_inputs.clear();
+}
+
+/// Move the granted flit: advance the round-robin pointer, consume/return
+/// credits, forward to the wire or eject at the host, and retire tails.
+void ActiveCore::sa_apply_grant(std::size_t s, NodeId u, std::uint32_t op,
+                                std::uint32_t granted) {
+  Shard& sh = shards_[s];
+  SwitchState& sw = S.switches_[u];
+  const std::uint32_t vcs = S.config_.vcs;
+  sw.sa_rr[op] = (granted + 1) % (sw.num_ports * vcs);
+
+  InputVc& ivc = sw.in[granted];
+  const std::uint32_t in_port = granted / vcs;
+  const std::uint32_t in_vc = granted % vcs;
+  sh.input_used[in_port] = 1;
+  sh.used_inputs.push_back(in_port);
+
+  const Flit flit = ivc.buffer.front();
+  ivc.buffer.pop_front();
+  OutputVc& o = sw.out[op * vcs + ivc.out_vc];
+
+  if (op < sw.num_net_ports) {
+    // Network traversal: consume a credit, put the flit on the wire
+    // toward the downstream input port (precomputed in downstream_).
+    --o.credits;
+    const auto [down_sw, dport] = S.downstream_[u][op];
+    push_wire(s, down_sw, dport, Arrival{now_ + S.link_delay_, flit, ivc.out_vc});
+    if (in_window_) ++S.link_flits_[S.out_link_index_[u][op]];
+  } else if (flit.tail) {
+    // Ejection: the tail completes the packet at the host.
+    const Packet& pkt = S.packets_[flit.packet];
+    const std::uint64_t eject = now_ + S.link_delay_;
+    if (in_window_) sh.d_ejected += pkt.size_flits;
+    if (pkt.measured) {
+      ++sh.d_meas_delivered;
+      sh.d_meas_hops += pkt.hops;
+      DSN_OBS_OBSERVE(SimMetrics::get().latency_cycles, eject - pkt.gen_cycle);
+      sh.latencies.push_back(static_cast<std::uint32_t>(eject - pkt.gen_cycle));
+      // The global trace size is stable during the parallel phase, so this
+      // over-approximates the cap; serial_merge makes the exact cut in shard
+      // order, i.e. traces are kept in ascending switch order per cycle.
+      if (S.config_.record_packet_traces &&
+          S.traces_.size() + sh.traces.size() < S.config_.trace_limit) {
+        sh.traces.push_back({pkt.id, pkt.src_host, pkt.dst_host, pkt.gen_cycle,
+                             pkt.inject_cycle, eject, pkt.hops, pkt.retries});
+      }
+    }
+    ++sh.d_delivered;
+    ++sh.d_inflight_dec;
+    sh.freed.push_back(flit.packet);
+  }
+
+  // Return a credit for the freed input-buffer slot to the upstream sender.
+  if (in_port < sw.num_net_ports) {
+    const auto [up_sw, up_port] = S.upstream_[u][in_port];
+    push_credit(s, up_sw, up_port * vcs + in_vc, CreditReturn{now_ + S.link_delay_, 1});
+  } else {
+    // The host NIC's credit is applied immediately: the NIC already waited
+    // for a full packet of credits before it started streaming.
+    const HostId host = u * S.config_.hosts_per_switch + (in_port - sw.num_net_ports);
+    ++S.nics_[host].credits[in_vc];
+  }
+
+  const bool went_idle = flit.tail;
+  if (went_idle) {
+    o.owned = false;
+    ivc.state = InputVc::State::kIdle;
+    ivc.cur_packet = kInvalidPacketSlot;
+  }
+  // The granted VC was listed active (active + nonempty was a grant
+  // precondition); recompute its membership after the pop.
+  if (went_idle || ivc.buffer.empty()) sa_remove(u, granted);
+  // Tail departure exposes the next packet's head (if buffered): re-arm its
+  // allocation wakeup from the recorded ready time.
+  if (went_idle && !ivc.buffer.empty() && ivc.buffer.front().head) {
+    DSN_ASSERT(!ivc.head_ready.empty(), "queued head must have a ready time");
+    sh.cal.schedule(std::max(ivc.head_ready.front(), now_ + 1), now_,
+                    enc_event(kEvHead, ivc_base_[u] + granted));
+  }
+  sh.d_progress = true;
+}
+
+/// Same-shard pushes go straight to the target queue (plus a calendar
+/// registration); cross-shard pushes are mailboxed for serial_merge.
+void ActiveCore::push_wire(std::size_t s, NodeId down_sw, std::uint32_t dport,
+                           const Arrival& a) {
+  const std::uint32_t gid = wire_base_[down_sw] + dport;
+  const std::size_t dest = shard_of_switch_[down_sw];
+  if (dest == s) {
+    S.switches_[down_sw].wire[dport].push_back(a);
+    shards_[s].cal.schedule(std::max(a.cycle, now_ + 1), now_, enc_event(kEvWire, gid));
+  } else {
+    shards_[s].wire_out[dest].push_back({gid, a});
+  }
+}
+
+void ActiveCore::push_credit(std::size_t s, NodeId up_sw, std::uint32_t idx,
+                             const CreditReturn& c) {
+  const std::uint32_t gid = ivc_base_[up_sw] + idx;
+  const std::size_t dest = shard_of_switch_[up_sw];
+  if (dest == s) {
+    S.switches_[up_sw].credits[idx].push_back(c);
+    shards_[s].cal.schedule(std::max(c.cycle, now_ + 1), now_, enc_event(kEvCredit, gid));
+  } else {
+    shards_[s].credit_out[dest].push_back({gid, c});
+  }
 }
 
 void ActiveCore::phase_nic_stream(std::size_t s) {
@@ -622,7 +736,7 @@ void ActiveCore::phase_nic_stream(std::size_t s) {
     auto& wq = sw.wire[in_port];
     const std::size_t wired_before = wq.size();
     std::uint64_t wake_at = 0;
-    const bool keep_listed = S.nic_step(h, now_, &wake_at);
+    const bool keep_listed = S.nic_step(h, now_, wake_at);
     if (wq.size() != wired_before) {
       // The NIC put a flit on its injection wire: register its arrival.
       sh.cal.schedule(std::max(wq.back().cycle, now_ + 1), now_,
@@ -652,8 +766,8 @@ void ActiveCore::serial_inject() {
     return;
   }
   // Shards cover ascending host ranges, so shard-order concatenation of the
-  // per-shard draw lists is exactly the legacy host-order generation loop —
-  // packet ids and pool slots come out identical.
+  // per-shard draw lists is ascending host order: packet ids and pool slots
+  // do not depend on the shard count.
   for (Shard& sh : shards_) {
     for (const auto& [src, dst] : sh.draws) {
       S.enqueue_packet(src, dst, now_);
@@ -694,12 +808,12 @@ void ActiveCore::serial_merge() {
     S.measured_delivered_ += sh.d_meas_delivered;
     S.measured_hops_ += sh.d_meas_hops;
     S.delivered_total_ += sh.d_delivered;
-    if (S.config_.epoch_cycles != 0 && sh.d_epoch_delivered != 0) {
-      S.epoch_at(now_).delivered += sh.d_epoch_delivered;
+    if (S.config_.epoch_cycles != 0 && sh.d_delivered != 0) {
+      S.epoch_at(now_).delivered += sh.d_delivered;
     }
     S.in_flight_packets_ -= sh.d_inflight_dec;
     if (sh.d_progress) S.last_progress_cycle_ = now_;
-    delivered_any = delivered_any || sh.d_delivered_any;
+    delivered_any = delivered_any || sh.d_delivered != 0;
     for (const std::uint32_t lat : sh.latencies) {
       S.measured_latencies_.push_back(lat);
     }
@@ -711,9 +825,8 @@ void ActiveCore::serial_merge() {
     sh.traces.clear();
     sh.freed.clear();
     sh.d_ejected = sh.d_meas_delivered = sh.d_meas_hops = 0;
-    sh.d_delivered = sh.d_epoch_delivered = sh.d_inflight_dec = 0;
+    sh.d_delivered = sh.d_inflight_dec = 0;
     sh.d_progress = false;
-    sh.d_delivered_any = false;
     events += sh.c_events;
     alloc_checks += sh.c_alloc_checks;
     sa_visits += sh.c_sa_visits;
@@ -721,7 +834,7 @@ void ActiveCore::serial_merge() {
 
     // Cross-shard handoff: every one of these queues has a single writer and
     // receives at most one push per cycle, so draining src shards in order
-    // reproduces the legacy push sequence exactly.
+    // gives every queue the same contents for any shard count.
     for (std::size_t dest = 0; dest < nshards_; ++dest) {
       for (const WireMail& m : sh.wire_out[dest]) {
         const NodeId u = wire_switch_[m.wire_gid];
@@ -767,6 +880,8 @@ SimResult ActiveCore::run() {
   rebuild_active_sets();
 
   const std::uint64_t hard_end = window_end_ + S.config_.drain_cycles;
+  // Watchdog: if flits are in flight but nothing moved for this long, the
+  // network is deadlocked (or a policy is broken) — abort and report.
   const std::uint64_t watchdog = 4 * (S.router_delay_ + S.link_delay_) +
                                  4ull * S.config_.packet_flits + 10'000;
   const std::uint64_t window_start = S.config_.warmup_cycles;
@@ -808,7 +923,12 @@ SimResult ActiveCore::run() {
   return S.finalize_result(now, deadlock);
 }
 
-SimResult Simulator::run_active() {
+SimResult Simulator::run() {
+  // Start from the simulator's own fault state (all alive): a policy object
+  // reused across runs must not carry a previous run's degraded tables.
+  policy_->on_fault_update({topo_, link_alive_, switch_alive_});
+
+  DSN_OBS_SPAN("sim.run");
   ActiveCore core(*this);
   return core.run();
 }

@@ -70,13 +70,8 @@ struct SimConfig {
   /// (0 disables). Livelock guard for destinations inside a dead region.
   std::uint64_t packet_ttl_cycles = 0;
 
-  // --- simulator core selection (see dsn/sim/simulator.hpp) ---------------
-  /// Run the original full-scan core instead of the active-set core. The two
-  /// cores produce byte-identical SimResult for any sim_threads value; the
-  /// legacy core exists as the equivalence baseline (ctest -L determinism)
-  /// and is exposed as --legacy-core where simulators are driven from CLIs.
-  bool legacy_core = false;
-  /// Shard count for the active-set core (1 = serial inline execution, the
+  // --- simulator engine (see dsn/sim/active_core.cpp) ----------------------
+  /// Shard count for the active-set engine (1 = serial inline execution, the
   /// default; 0 = use the global ThreadPool's worker count). Results are
   /// byte-identical for every value: cross-shard flit handoff goes through
   /// per-shard mailboxes drained in shard order at the epoch barrier.
@@ -85,7 +80,6 @@ struct SimConfig {
   /// divisible by this stride instead of every cycle; head-of-buffer TTL
   /// checks remain per-cycle. TTL deadlines are coarse — expiring a queued
   /// packet up to stride-1 cycles late only delays its drop accounting.
-  /// Both cores apply the same stride, so equivalence is unaffected.
   std::uint64_t ttl_sweep_stride = 64;
 
   /// Nanoseconds per simulator cycle (= flit serialization time).

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsn/common/rng.hpp"
 #include "dsn/common/types.hpp"
 #include "dsn/sim/trace.hpp"
 #include "dsn/sim/traffic.hpp"
@@ -24,36 +23,6 @@ struct Demand {
   HostId src = 0;
   HostId dst = 0;
   std::uint64_t flits = 0;
-};
-
-/// Demand generator interface. Implementations must be stateless apart from
-/// the caller-provided RNG (one stream per source host) so replays are exact
-/// for any host iteration order.
-class TrafficDemand {
- public:
-  virtual ~TrafficDemand() = default;
-  virtual const char* name() const = 0;
-  /// Append the demands host `src` emits at `cycle` to `out`.
-  virtual void emit(HostId src, std::uint64_t cycle, Rng& rng,
-                    std::vector<Demand>& out) const = 0;
-};
-
-/// Open-loop Bernoulli packet generation — the §VII-A load model the flit
-/// simulator drives: each cycle each host emits one packet-sized demand with
-/// probability `packet_rate`. Draw order (bernoulli, then dest) is the
-/// historical NIC order, so trace replays against old seeds stay identical.
-class BernoulliDemand final : public TrafficDemand {
- public:
-  BernoulliDemand(const TrafficPattern& pattern, double packet_rate,
-                  std::uint32_t packet_flits);
-  const char* name() const override { return pattern_->name(); }
-  void emit(HostId src, std::uint64_t cycle, Rng& rng,
-            std::vector<Demand>& out) const override;
-
- private:
-  const TrafficPattern* pattern_;
-  double packet_rate_;
-  std::uint32_t packet_flits_;
 };
 
 /// Deterministic finite batch: every host draws `packets_per_host`

@@ -8,7 +8,6 @@
 
 #include "dsn/obs/obs.hpp"
 #include "dsn/sim/sim_metrics.hpp"
-#include "dsn/sim/switch_kernel.hpp"
 
 namespace dsn {
 
@@ -20,8 +19,6 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
                      const TrafficPattern& traffic, const SimConfig& config)
     : topo_(&topo), policy_(&policy), traffic_(&traffic), config_(config) {
   config_.validate();
-  demand_ = std::make_unique<BernoulliDemand>(traffic, config_.packet_rate_per_cycle(),
-                                              config_.packet_flits);
 #if DSN_OBS
   if (obs::metrics_on()) {
     for (std::uint32_t s = 0; s < hop_phase_metrics_.size(); ++s) {
@@ -100,12 +97,6 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
     nics_[h].credits.assign(config_.vcs, config_.buffer_flits);
     nics_[h].rng = Rng(config_.seed * 0x9e3779b97f4a7c15ULL + h + 1);
   }
-
-  for (const SwitchState& sw : switches_) {
-    max_ports_ = std::max(max_ports_, sw.num_ports);
-  }
-  sa_scratch_.input_used.assign(max_ports_, 0);
-  sa_scratch_.used_inputs.reserve(max_ports_);
 }
 
 PacketSlot Simulator::alloc_packet() {
@@ -168,34 +159,7 @@ void Simulator::enqueue_packet(HostId src, HostId dst, std::uint64_t now) {
   ++in_flight_packets_;
 }
 
-void Simulator::generate_traffic(std::uint64_t now) {
-  const std::uint64_t window_end = config_.warmup_cycles + config_.measure_cycles;
-
-  if (use_trace_) {
-    while (trace_cursor_ < injection_trace_.size() &&
-           injection_trace_[trace_cursor_].cycle <= now) {
-      const TraceEntry& e = injection_trace_[trace_cursor_++];
-      enqueue_packet(e.src, e.dst, now);
-    }
-    return;
-  }
-
-  if (config_.packet_rate_per_cycle() <= 0.0) return;
-  // Open-loop generation stops after the measurement window so the drain
-  // phase can complete; background load persists through the window itself.
-  if (now >= window_end) return;
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    NicState& nic = nics_[h];
-    // Hosts of a halted switch stop generating (their rng simply pauses and
-    // resumes deterministically on revival).
-    if (faults_armed_ && !switch_alive_[h / config_.hosts_per_switch]) continue;
-    demand_scratch_.clear();
-    demand_->emit(h, now, nic.rng, demand_scratch_);
-    for (const Demand& d : demand_scratch_) enqueue_packet(d.src, d.dst, now);
-  }
-}
-
-bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
+bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t& wake_at) {
   NicState& nic = nics_[h];
   // A halted switch freezes its hosts' NICs (queues keep their packets for
   // the revival; any active stream was purged by the halt itself).
@@ -229,12 +193,9 @@ bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
     if (slot == kInvalidPacketSlot) {
       if (nic.source_queue.empty()) {
         // Nothing but backing-off retries: idle until the earliest matures.
-        if (wake_at != nullptr) {
-          std::uint64_t earliest = std::numeric_limits<std::uint64_t>::max();
-          for (std::size_t i = 0; i < nic.retry_queue.size(); ++i) {
-            earliest = std::min(earliest, packets_[nic.retry_queue[i]].retry_at);
-          }
-          *wake_at = earliest;
+        wake_at = std::numeric_limits<std::uint64_t>::max();
+        for (std::size_t i = 0; i < nic.retry_queue.size(); ++i) {
+          wake_at = std::min(wake_at, packets_[nic.retry_queue[i]].retry_at);
         }
         return false;
       }
@@ -269,41 +230,6 @@ bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
   ++nic.flits_sent;
   if (nic.flits_sent == pkt.size_flits) nic.busy = false;
   return true;
-}
-
-void Simulator::nic_stream(std::uint64_t now) {
-  for (HostId h = 0; h < num_hosts_; ++h) nic_step(h, now, nullptr);
-}
-
-void Simulator::deliver_wire_flits(std::uint64_t now) {
-  for (NodeId u = 0; u < num_switches_; ++u) {
-    SwitchState& sw = switches_[u];
-    for (std::uint32_t port = 0; port < sw.num_ports; ++port) {
-      auto& wire = sw.wire[port];
-      while (!wire.empty() && wire.front().cycle <= now) {
-        const Arrival a = wire.front();
-        wire.pop_front();
-        InputVc& ivc = sw.in[port * config_.vcs + a.vc];
-        DSN_ASSERT(ivc.buffer.size() < config_.buffer_flits,
-                   "credit flow control must prevent buffer overflow");
-        if (a.flit.head) ivc.head_ready.push_back(now + router_delay_);
-        ivc.buffer.push_back(a.flit);
-      }
-    }
-  }
-}
-
-void Simulator::apply_credit_returns(std::uint64_t now) {
-  for (NodeId u = 0; u < num_switches_; ++u) {
-    SwitchState& sw = switches_[u];
-    for (std::uint32_t idx = 0; idx < sw.credits.size(); ++idx) {
-      auto& q = sw.credits[idx];
-      while (!q.empty() && q.front().cycle <= now) {
-        sw.out[idx].credits += q.front().count;
-        q.pop_front();
-      }
-    }
-  }
 }
 
 bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t vc,
@@ -408,47 +334,6 @@ bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t 
   return false;
 }
 
-void Simulator::allocate_vcs(std::uint64_t now) {
-  for (NodeId u = 0; u < num_switches_; ++u) {
-    SwitchState& sw = switches_[u];
-    for (std::uint32_t port = 0; port < sw.num_ports; ++port) {
-      for (std::uint32_t vc = 0; vc < config_.vcs; ++vc) {
-        InputVc& ivc = sw.in[port * config_.vcs + vc];
-        if (ivc.state != InputVc::State::kIdle) continue;
-        if (ivc.buffer.empty()) continue;
-        const Flit& front = ivc.buffer.front();
-        if (!front.head) continue;  // tail of a previous packet still draining
-        DSN_ASSERT(!ivc.head_ready.empty(), "head flit must have a ready time");
-        if (ivc.head_ready.front() > now) continue;
-        // TTL guard: packets stuck past their deadline (a destination inside
-        // a dead region, or a livelocked detour) are collected and purged
-        // after the scan so the drop accounting stays exact.
-        if (config_.packet_ttl_cycles != 0 &&
-            now - packets_[front.packet].gen_cycle > config_.packet_ttl_cycles) {
-          ttl_expired_.push_back(front.packet);
-          continue;
-        }
-        if (try_allocate(u, port, vc, now, scratch_candidates_)) {
-          ivc.head_ready.pop_front();
-        }
-      }
-    }
-  }
-  // Queued packets age out too: a NIC frozen by a dead source switch (or a
-  // retry queue whose destination never heals) would otherwise hold its
-  // packets in flight forever and wedge the drain. The sweep is strided:
-  // TTL deadlines are coarse, so scanning every NIC queue every cycle is
-  // pure overhead at high n (expiries land at the next stride boundary).
-  if (config_.packet_ttl_cycles != 0 && now % config_.ttl_sweep_stride == 0) {
-    sweep_nic_ttl(now, 0, num_hosts_, ttl_expired_);
-  }
-  if (!ttl_expired_.empty()) {
-    purge_packets(ttl_expired_, now, /*allow_requeue=*/false, /*ttl=*/true, nullptr);
-    recompute_credits();
-    ttl_expired_.clear();
-  }
-}
-
 void Simulator::sweep_nic_ttl(std::uint64_t now, HostId begin, HostId end,
                               std::vector<PacketSlot>& out) {
   const auto expired = [&](PacketSlot s) {
@@ -459,61 +344,6 @@ void Simulator::sweep_nic_ttl(std::uint64_t now, HostId begin, HostId end,
   for (HostId h = begin; h < end; ++h) {
     nics_[h].source_queue.erase_if(expired);
     nics_[h].retry_queue.erase_if(expired);
-  }
-}
-
-void Simulator::switch_allocation(std::uint64_t now) {
-  const std::uint64_t window_start = config_.warmup_cycles;
-  const std::uint64_t window_end = config_.warmup_cycles + config_.measure_cycles;
-  const bool in_window = now >= window_start && now < window_end;
-
-  // The legacy sink writes every side effect straight to the global state —
-  // exactly what the pre-kernel monolithic loop did.
-  struct DirectSink {
-    Simulator* S;
-    void push_wire(NodeId down_sw, std::uint32_t dport, const Arrival& a) {
-      S->switches_[down_sw].wire[dport].push_back(a);
-    }
-    void push_credit(NodeId up_sw, std::uint32_t idx, const CreditReturn& c) {
-      S->switches_[up_sw].credits[idx].push_back(c);
-    }
-    void add_ejected_flits(std::uint32_t flits) {
-      S->ejected_flits_in_window_ += flits;
-    }
-    void on_measured_delivery(Packet& pkt, std::uint64_t eject) {
-      ++S->measured_delivered_;
-      S->measured_hops_ += pkt.hops;
-      DSN_OBS_OBSERVE(SimMetrics::get().latency_cycles, eject - pkt.gen_cycle);
-      S->measured_latencies_.push_back(
-          static_cast<std::uint32_t>(eject - pkt.gen_cycle));
-      if (S->config_.record_packet_traces &&
-          S->traces_.size() < S->config_.trace_limit) {
-        S->traces_.push_back({pkt.id, pkt.src_host, pkt.dst_host, pkt.gen_cycle,
-                              pkt.inject_cycle, eject, pkt.hops, pkt.retries});
-      }
-    }
-    void on_delivery(std::uint64_t now_cycle, std::uint64_t eject) {
-      ++S->delivered_total_;
-      if (S->config_.epoch_cycles != 0) ++S->epoch_at(now_cycle).delivered;
-      // Any delivery ends the reconnection window of pending down events.
-      for (const std::size_t idx : S->pending_reconnect_) {
-        S->fault_log_[idx].reconnected = true;
-        S->fault_log_[idx].reconnect_cycles = eject - S->fault_log_[idx].event.cycle;
-      }
-      S->pending_reconnect_.clear();
-    }
-    void release_packet(PacketSlot slot) {
-      --S->in_flight_packets_;
-      S->free_packet(slot);
-    }
-    void after_grant(NodeId, std::uint32_t, bool) {}
-    void on_progress(std::uint64_t now_cycle) {
-      S->last_progress_cycle_ = now_cycle;
-    }
-  } sink{this};
-
-  for (NodeId u = 0; u < num_switches_; ++u) {
-    sa_switch(u, now, in_window, sa_scratch_, sink);
   }
 }
 
@@ -768,53 +598,6 @@ void Simulator::emit_trace_sample(std::uint64_t now) {
 #else
   (void)now;
 #endif
-}
-
-SimResult Simulator::run() {
-  // Start from the simulator's own fault state (all alive): a policy object
-  // reused across runs must not carry a previous run's degraded tables.
-  policy_->on_fault_update({topo_, link_alive_, switch_alive_});
-
-  DSN_OBS_SPAN("sim.run");
-  if (config_.legacy_core) return run_legacy();
-  return run_active();
-}
-
-SimResult Simulator::run_legacy() {
-  const std::uint64_t window_end = config_.warmup_cycles + config_.measure_cycles;
-  const std::uint64_t hard_end = window_end + config_.drain_cycles;
-  // Watchdog: if flits are in flight but nothing moved for this long, the
-  // network is deadlocked (or a policy is broken) — abort and report.
-  const std::uint64_t watchdog = 4 * (router_delay_ + link_delay_) +
-                                 4ull * config_.packet_flits + 10'000;
-
-  bool deadlock = false;
-  std::uint64_t now = 0;
-  last_progress_cycle_ = 0;
-  for (; now < hard_end; ++now) {
-    if (faults_armed_) apply_fault_events(now);
-    generate_traffic(now);
-    deliver_wire_flits(now);
-    apply_credit_returns(now);
-    allocate_vcs(now);
-    switch_allocation(now);
-    nic_stream(now);
-    DSN_OBS_ONLY(emit_trace_sample(now);)
-    DSN_OBS_GAUGE_SET(SimMetrics::get().in_flight,
-                      static_cast<std::int64_t>(in_flight_packets_));
-
-    if (now >= window_end &&
-        measured_delivered_ + measured_dropped_ == measured_generated_) {
-      ++now;
-      break;  // every measured packet accounted (delivered or dropped) — done
-    }
-    if (in_flight_packets_ > 0 && now - last_progress_cycle_ > watchdog) {
-      deadlock = true;
-      break;
-    }
-  }
-
-  return finalize_result(now, deadlock);
 }
 
 SimResult Simulator::finalize_result(std::uint64_t now, bool deadlock) {

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "dsn/common/ring.hpp"
 #include "dsn/obs/metrics.hpp"
 #include "dsn/sim/config.hpp"
-#include "dsn/sim/demand.hpp"
 #include "dsn/sim/fault.hpp"
 #include "dsn/sim/packet.hpp"
 #include "dsn/sim/policy.hpp"
@@ -86,9 +84,9 @@ class Simulator {
   Simulator(const Topology& topo, SimRoutingPolicy& policy,
             const TrafficPattern& traffic, const SimConfig& config);
 
-  /// Run the configured warmup + measurement + drain phases. Dispatches to
-  /// the active-set core (default) or the legacy full-scan core
-  /// (SimConfig::legacy_core); both produce byte-identical SimResult.
+  /// Run the configured warmup + measurement + drain phases on the
+  /// active-set engine (dsn/sim/active_core.cpp). The SimResult is
+  /// byte-identical for every SimConfig::sim_threads value.
   SimResult run();
 
   /// Replace the open-loop Bernoulli generators with an explicit injection
@@ -168,72 +166,27 @@ class Simulator {
     Rng rng{0};
   };
 
-  /// Per-switch scratch for the switch-allocation kernel, preallocated to
-  /// the widest switch once (no per-cycle container writes in the hot loop):
-  /// input_used entries are set during one switch's arbitration and reset
-  /// via the used_inputs undo list before the kernel returns. The legacy
-  /// core owns one instance; the active core owns one per shard.
-  struct SaScratch {
-    std::vector<std::uint8_t> input_used;
-    std::vector<std::uint32_t> used_inputs;
-    /// sa_switch_active ordering buffer: (out_port, RR-cyclic key, VC index)
-    /// packed into one word per active VC so a single sort recovers the
-    /// legacy scan order over the active subset.
-    std::vector<std::uint64_t> rr_candidates;
-  };
-
   PacketSlot alloc_packet();
   void free_packet(PacketSlot slot);
   /// Allocate a packet src -> dst generated at `now` and queue it at the
-  /// source NIC — the single injection path both cores share, so packet ids
-  /// and pool slots are assigned in the same order everywhere.
+  /// source NIC — the single injection path, so packet ids and pool slots
+  /// are assigned in call order.
   void enqueue_packet(HostId src, HostId dst, std::uint64_t now);
-  void generate_traffic(std::uint64_t now);
-  void nic_stream(std::uint64_t now);
-  /// One NIC's injection step for one cycle (shared by both cores). Returns
-  /// true when the NIC still has actionable or pending work; false when it
-  /// is idle. When idle purely because every queued retry is still backing
-  /// off, *wake_at (if non-null) receives the earliest retry_at so the
-  /// active core can re-arm a wakeup instead of polling.
-  bool nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at);
-  void deliver_wire_flits(std::uint64_t now);
-  void apply_credit_returns(std::uint64_t now);
-  void allocate_vcs(std::uint64_t now);
-  void switch_allocation(std::uint64_t now);
-  /// One switch's allocation (round-robin arbitration + flit movement) for
-  /// one cycle. The Sink receives every side effect whose destination
-  /// differs between cores: cross-switch queue pushes (mailboxed when the
-  /// target lives on another shard), delivery/drop accounting (per-shard
-  /// deltas merged in shard order), and active-set bookkeeping hooks.
-  /// Defined in dsn/sim/switch_kernel.hpp; both cores instantiate it.
-  template <class Sink>
-  void sa_switch(NodeId u, std::uint64_t now, bool in_window, SaScratch& scratch,
-                 Sink& sink);
-  /// Same arbitration restricted to the caller's list of active input VCs
-  /// (state kActive with a nonempty buffer) — O(active) per switch instead
-  /// of O(ports x vcs). Grant decisions and credit-stall counts are
-  /// byte-identical to sa_switch; the active core maintains the lists.
-  template <class Sink>
-  void sa_switch_active(NodeId u, std::uint64_t now, bool in_window,
-                        const std::vector<std::uint32_t>& active,
-                        SaScratch& scratch, Sink& sink);
-  /// Shared grant body of both front-ends: moves the winning flit, consumes
-  /// and returns credits, ejects tails, and fires the Sink hooks.
-  template <class Sink>
-  void sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted,
-                      std::uint64_t now, bool in_window, SaScratch& scratch,
-                      Sink& sink);
+  /// One NIC's injection step for one cycle. Returns true when the NIC still
+  /// has actionable or pending work; false when it is idle. When idle purely
+  /// because every queued retry is still backing off, wake_at receives the
+  /// earliest retry_at so the engine can re-arm a wakeup instead of polling
+  /// (otherwise it is left unchanged).
+  bool nic_step(HostId h, std::uint64_t now, std::uint64_t& wake_at);
   bool try_allocate(NodeId sw, std::uint32_t in_port, std::uint32_t vc,
                     std::uint64_t now, std::vector<RouteCandidate>& scratch);
   /// TTL-expire queued packets of NICs in [begin, end), appending expired
-  /// slots to `out` (erased from the queues; caller purges). Both cores call
-  /// this on the same strided cycles (SimConfig::ttl_sweep_stride).
+  /// slots to `out` (erased from the queues; caller purges). Called on
+  /// cycles divisible by SimConfig::ttl_sweep_stride.
   void sweep_nic_ttl(std::uint64_t now, HostId begin, HostId end,
                      std::vector<PacketSlot>& out);
-  SimResult run_legacy();
-  SimResult run_active();
-  /// Assemble the SimResult from the accumulated counters (shared epilogue:
-  /// latency percentiles, conservation recount, fault log, epochs).
+  /// Assemble the SimResult from the accumulated counters (latency
+  /// percentiles, conservation recount, fault log, epochs).
   SimResult finalize_result(std::uint64_t now, bool deadlock);
 
   // --- fault machinery (see dsn/sim/fault.hpp) ----------------------------
@@ -264,10 +217,6 @@ class Simulator {
   SimRoutingPolicy* policy_;
   const TrafficPattern* traffic_;
   SimConfig config_;
-  /// Shared pattern→demand layer (sim/demand.hpp); the Bernoulli generators
-  /// live there so both simulation tiers consume one demand definition.
-  std::unique_ptr<TrafficDemand> demand_;
-  std::vector<Demand> demand_scratch_;
 
   std::uint32_t num_switches_ = 0;
   std::uint32_t num_hosts_ = 0;
@@ -296,10 +245,6 @@ class Simulator {
   std::uint64_t ejected_flits_in_window_ = 0;
   std::uint64_t in_flight_packets_ = 0;
   std::uint64_t last_progress_cycle_ = 0;
-
-  std::vector<RouteCandidate> scratch_candidates_;  ///< legacy-core route scratch
-  SaScratch sa_scratch_;          ///< legacy-core switch-allocation scratch
-  std::uint32_t max_ports_ = 0;   ///< widest switch (scratch sizing)
 
   std::vector<TraceEntry> injection_trace_;
   std::size_t trace_cursor_ = 0;
@@ -338,9 +283,9 @@ class Simulator {
 
   void emit_trace_sample(std::uint64_t now);
 
-  /// The active-set engine (dsn/sim/active_core.cpp) drives the same state
+  /// The active-set engine (dsn/sim/active_core.cpp) drives this state
   /// machine through work lists and sharded epochs; it is an implementation
-  /// detail of run_active() with full access to the simulator state.
+  /// detail of run() with full access to the simulator state.
   friend class ActiveCore;
 };
 

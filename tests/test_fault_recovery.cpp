@@ -13,6 +13,7 @@
 #include "dsn/sim/simulator.hpp"
 #include "dsn/sim/trace.hpp"
 #include "dsn/topology/dsn.hpp"
+#include "golden.hpp"
 
 namespace dsn {
 namespace {
@@ -356,12 +357,13 @@ TEST(FaultDeterminism, ByteIdenticalAcrossRebuildWorkerCounts) {
   EXPECT_EQ(traces[0], traces[2]);
 }
 
-TEST(FaultDeterminism, ShardedActiveCoreMatchesLegacyUnderFaults) {
+TEST(FaultDeterminism, ShardedActiveCoreMatchesGoldenUnderFaults) {
   // The sharded active-set core under a live fault drill: purges, retries,
   // TTL expiries and routing rebuilds while shards exchange flits through
   // mailboxes. Lives in the faults binary so the TSan CI leg (-L faults)
-  // races the epoch barriers; the byte-compare against the legacy core is
-  // the determinism gate.
+  // races the epoch barriers. The determinism gate: every shard count gives
+  // the same bytes, and those bytes match a golden digest recorded while
+  // the retired full-scan core still agreed with them.
   const Topology topo = make_topology_by_name("dsn", 32);
   UniformTraffic traffic(32 * 4);
   SimConfig cfg = drill_config();
@@ -376,9 +378,8 @@ TEST(FaultDeterminism, ShardedActiveCoreMatchesLegacyUnderFaults) {
 
   SimRouting routing(topo);
   AdaptiveUpDownPolicy policy(routing, 4);
-  const auto run_once = [&](bool legacy, std::uint32_t sim_threads) {
+  const auto run_once = [&](std::uint32_t sim_threads) {
     SimConfig run_cfg = cfg;
-    run_cfg.legacy_core = legacy;
     run_cfg.sim_threads = sim_threads;
     Simulator sim(topo, policy, traffic, run_cfg);
     sim.set_fault_schedule(schedule);
@@ -387,11 +388,13 @@ TEST(FaultDeterminism, ShardedActiveCoreMatchesLegacyUnderFaults) {
         to_json(res).dump(),
         {sim.packet_traces().begin(), sim.packet_traces().end()});
   };
-  const auto baseline = run_once(/*legacy=*/true, 1);
+  const auto serial = run_once(1);
+  const std::uint64_t digest = sim_run_digest(serial.first, serial.second);
+  EXPECT_EQ(digest, 0xe1b1febd1751a08eULL) << std::hex << "digest 0x" << digest;
   for (const std::uint32_t threads : {4u, 8u}) {
-    const auto active = run_once(/*legacy=*/false, threads);
-    EXPECT_EQ(baseline.first, active.first) << "sim_threads=" << threads;
-    EXPECT_EQ(baseline.second, active.second) << "sim_threads=" << threads;
+    const auto sharded = run_once(threads);
+    EXPECT_EQ(serial.first, sharded.first) << "sim_threads=" << threads;
+    EXPECT_EQ(serial.second, sharded.second) << "sim_threads=" << threads;
   }
 }
 

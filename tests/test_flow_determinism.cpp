@@ -16,6 +16,7 @@
 #include "dsn/analysis/factory.hpp"
 #include "dsn/flow/flow_sim.hpp"
 #include "dsn/flow/workload.hpp"
+#include "golden.hpp"
 
 namespace dsn::flow {
 namespace {
@@ -33,16 +34,6 @@ std::string run_to_bytes(const std::string& topology, const std::string& workloa
   params.seed = 11;
   const std::unique_ptr<WorkloadDriver> driver = make_workload(workload, params);
   return to_json(sim.run(*driver)).dump();
-}
-
-/// 64-bit FNV-1a over the projected bytes.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const unsigned char ch : bytes) {
-    h ^= ch;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 TEST(FlowDeterminism, ResultsMatchGoldenDigests) {

@@ -31,6 +31,7 @@
 #include "dsn/graph/metrics.hpp"
 #include "dsn/opt/optimizer.hpp"
 #include "dsn/topology/generators.hpp"
+#include "golden.hpp"
 
 namespace dsn {
 namespace {
@@ -275,15 +276,6 @@ TEST(OptEstimator, DisconnectedComponentsMatchReference) {
   const EstimateView est = estimate_paths(csr, all_nodes(kN), workspace);
   EXPECT_FALSE(est.sample_connected);
   EXPECT_EQ(est.reachable_pairs, 120u * 119u + 90u * 89u);
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const unsigned char ch : bytes) {
-    h ^= ch;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 TEST(OptDeterminism, FrontsMatchGoldenDigests) {

@@ -1,14 +1,18 @@
-// Golden byte-identical equivalence between the two simulator cores: the
-// legacy full-scan core (SimConfig::legacy_core) is the behavioral baseline,
-// and the active-set core must reproduce its SimResult — including latency
-// percentiles, degradation curves, fault records, drop/retry accounting and
-// the conservation recount — byte-for-byte at every shard count, for every
-// traffic pattern, both switching modes, zero-delay pipelines, fuzzed fault
-// schedules, and trace replay. Grouped under `ctest -L determinism` via the
-// determinism.core_equivalence entry.
+// Golden byte-identical replay of the flit simulator across shard counts:
+// every case runs the same input at 1, 4 and 8 shards, asserts the SimResult
+// dumps — latency percentiles, degradation curves, fault records, drop/retry
+// accounting and the conservation recount — and the packet traces are
+// byte-identical, and checks the first run against a committed golden
+// digest. The matrix covers every traffic pattern, both switching modes,
+// zero-delay pipelines, custom-policy saturation, fuzzed fault schedules,
+// trace replay, TTL strides and shard clamping. The digests were recorded
+// while the retired full-scan core still ran and agreed byte-for-byte with
+// the active-set core on every case. Grouped under `ctest -L determinism` via
+// the determinism.core_equivalence entry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +23,7 @@
 #include "dsn/sim/simulator.hpp"
 #include "dsn/sim/trace.hpp"
 #include "dsn/topology/dsn.hpp"
+#include "golden.hpp"
 
 namespace dsn {
 namespace {
@@ -29,11 +34,9 @@ struct RunOutput {
 };
 
 RunOutput run_core(const Topology& topo, SimRoutingPolicy& policy,
-                   const TrafficPattern& traffic, SimConfig cfg, bool legacy,
-                   std::uint32_t sim_threads,
-                   const FaultSchedule* faults = nullptr,
-                   const std::vector<TraceEntry>* injections = nullptr) {
-  cfg.legacy_core = legacy;
+                   const TrafficPattern& traffic, SimConfig cfg,
+                   std::uint32_t sim_threads, const FaultSchedule* faults,
+                   const std::vector<TraceEntry>* injections) {
   cfg.sim_threads = sim_threads;
   Simulator sim(topo, policy, traffic, cfg);
   if (faults != nullptr) sim.set_fault_schedule(*faults);
@@ -43,19 +46,26 @@ RunOutput run_core(const Topology& topo, SimRoutingPolicy& policy,
           {sim.packet_traces().begin(), sim.packet_traces().end()}};
 }
 
-/// Run the legacy baseline, then the active core at 1, 4 and 8 shards; every
-/// active run must match the baseline byte-for-byte.
-void expect_cores_identical(const Topology& topo, SimRoutingPolicy& policy,
-                            const TrafficPattern& traffic, const SimConfig& cfg,
-                            const FaultSchedule* faults = nullptr,
-                            const std::vector<TraceEntry>* injections = nullptr) {
-  const RunOutput baseline =
-      run_core(topo, policy, traffic, cfg, /*legacy=*/true, 1, faults, injections);
-  for (const std::uint32_t threads : {1u, 4u, 8u}) {
-    const RunOutput active = run_core(topo, policy, traffic, cfg,
-                                      /*legacy=*/false, threads, faults, injections);
-    EXPECT_EQ(baseline.dump, active.dump) << "sim_threads=" << threads;
-    EXPECT_TRUE(baseline.traces == active.traces) << "sim_threads=" << threads;
+/// Run at every shard count: the first run must match the committed golden
+/// digest, and every later run must match the first byte-for-byte.
+void expect_shards_match_golden(
+    const Topology& topo, SimRoutingPolicy& policy, const TrafficPattern& traffic,
+    const SimConfig& cfg, std::uint64_t golden,
+    const FaultSchedule* faults = nullptr,
+    const std::vector<TraceEntry>* injections = nullptr,
+    std::initializer_list<std::uint32_t> shard_counts = {1u, 4u, 8u}) {
+  const std::uint32_t first_threads = *shard_counts.begin();
+  const RunOutput first =
+      run_core(topo, policy, traffic, cfg, first_threads, faults, injections);
+  const std::uint64_t digest = sim_run_digest(first.dump, first.traces);
+  EXPECT_EQ(digest, golden) << std::hex << "digest 0x" << digest << std::dec
+                            << " at sim_threads=" << first_threads;
+  for (const std::uint32_t threads : shard_counts) {
+    if (threads == first_threads) continue;
+    const RunOutput other =
+        run_core(topo, policy, traffic, cfg, threads, faults, injections);
+    EXPECT_EQ(first.dump, other.dump) << "sim_threads=" << threads;
+    EXPECT_TRUE(first.traces == other.traces) << "sim_threads=" << threads;
   }
 }
 
@@ -89,11 +99,18 @@ TEST(CoreEquivalence, SixTrafficPatternsByteIdentical) {
   AdaptiveUpDownPolicy policy(routing, 4);
   const SimConfig cfg = equivalence_config();
   const std::uint32_t hosts = 64 * cfg.hosts_per_switch;
-  for (const char* pattern : {"uniform", "bit-reversal", "neighboring",
-                              "transpose", "shuffle", "hotspot"}) {
-    SCOPED_TRACE(pattern);
-    const auto traffic = make_traffic(pattern, hosts);
-    expect_cores_identical(topo, policy, *traffic, cfg);
+  const struct {
+    const char* pattern;
+    std::uint64_t golden;
+  } cases[] = {
+      {"uniform", 0x91c87cdc8a9a5595ULL},   {"bit-reversal", 0xdc6835de3bffc300ULL},
+      {"neighboring", 0x845bfa1d069dbc5aULL}, {"transpose", 0xfd57f6dc22eb0b3bULL},
+      {"shuffle", 0x7dc89a2d9e47ebdcULL},   {"hotspot", 0xa2acb207509c3395ULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.pattern);
+    const auto traffic = make_traffic(c.pattern, hosts);
+    expect_shards_match_golden(topo, policy, *traffic, cfg, c.golden);
   }
 }
 
@@ -105,7 +122,7 @@ TEST(CoreEquivalence, WormholeSwitchingByteIdentical) {
   cfg.switching = SwitchingMode::kWormhole;
   cfg.buffer_flits = 8;  // packets span switches: credit stalls on every path
   const auto traffic = make_traffic("transpose", 16 * cfg.hosts_per_switch);
-  expect_cores_identical(topo, policy, *traffic, cfg);
+  expect_shards_match_golden(topo, policy, *traffic, cfg, 0x6800af38889fa4dbULL);
 }
 
 TEST(CoreEquivalence, ZeroDelayPipelineByteIdentical) {
@@ -119,7 +136,7 @@ TEST(CoreEquivalence, ZeroDelayPipelineByteIdentical) {
   cfg.router_delay_ns = 0.0;
   cfg.link_delay_ns = 0.0;
   const auto traffic = make_traffic("uniform", 16 * cfg.hosts_per_switch);
-  expect_cores_identical(topo, policy, *traffic, cfg);
+  expect_shards_match_golden(topo, policy, *traffic, cfg, 0xaaf32dade095949eULL);
 }
 
 TEST(CoreEquivalence, CustomPolicyHighLoadByteIdentical) {
@@ -133,7 +150,7 @@ TEST(CoreEquivalence, CustomPolicyHighLoadByteIdentical) {
   cfg.offered_gbps_per_host = 24.0;
   cfg.measure_cycles = 800;
   const auto traffic = make_traffic("uniform", 32 * cfg.hosts_per_switch);
-  expect_cores_identical(topo, policy, *traffic, cfg);
+  expect_shards_match_golden(topo, policy, *traffic, cfg, 0x2b1e5810d6e7f1b2ULL);
 }
 
 TEST(CoreEquivalence, FuzzedFaultScheduleByteIdentical) {
@@ -148,13 +165,18 @@ TEST(CoreEquivalence, FuzzedFaultScheduleByteIdentical) {
   cfg.packet_ttl_cycles = 3'000;
   cfg.retry_backoff_cycles = 32;
 
-  for (const std::uint32_t fuzz_seed : {11u, 29u}) {
-    SCOPED_TRACE(fuzz_seed);
+  const struct {
+    std::uint32_t fuzz_seed;
+    std::uint64_t golden;
+  } cases[] = {{11u, 0x73e8fc9aba6e4e2dULL},
+                 {29u, 0xa919cba51d3f49c4ULL}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.fuzz_seed);
     FaultSchedule schedule =
-        make_link_flap_schedule(topo, 0.05, 200, 1'500, 12'000, fuzz_seed);
+        make_link_flap_schedule(topo, 0.05, 200, 1'500, 12'000, c.fuzz_seed);
     schedule.switch_down(900, 7);
     const auto traffic = make_traffic("uniform", 32 * cfg.hosts_per_switch);
-    expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
+    expect_shards_match_golden(topo, policy, *traffic, cfg, c.golden, &schedule);
   }
 }
 
@@ -173,12 +195,13 @@ TEST(CoreEquivalence, TraceReplayWithFaultsByteIdentical) {
   FaultSchedule schedule;
   schedule.link_down(250, find_shortcut_link(topo)).switch_down(650, 3);
   const auto traffic = make_traffic("uniform", 16 * cfg.hosts_per_switch);
-  expect_cores_identical(topo, policy, *traffic, cfg, &schedule, &injections);
+  expect_shards_match_golden(topo, policy, *traffic, cfg, 0x3e5c7e8cd1801b8aULL,
+                         &schedule, &injections);
 }
 
 TEST(CoreEquivalence, TtlSweepStrideIsCoreInvariant) {
-  // Different strides legitimately change when queued packets expire — but
-  // for any fixed stride the two cores must still agree exactly.
+  // Different strides may change when queued packets expire, so each stride
+  // has its own digest; for any fixed stride the shard counts must agree.
   const Topology topo = make_topology_by_name("dsn", 16);
   SimRouting routing(topo);
   AdaptiveUpDownPolicy policy(routing, 4);
@@ -187,10 +210,16 @@ TEST(CoreEquivalence, TtlSweepStrideIsCoreInvariant) {
   FaultSchedule schedule;
   schedule.switch_down(400, 5);  // never revives: its traffic must age out
   const auto traffic = make_traffic("uniform", 16 * cfg.hosts_per_switch);
-  for (const std::uint64_t stride : {1ull, 64ull, 1'000ull}) {
-    SCOPED_TRACE(stride);
-    cfg.ttl_sweep_stride = stride;
-    expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
+  const struct {
+    std::uint64_t stride;
+    std::uint64_t golden;
+  } cases[] = {{1, 0xaf719582fa8742dbULL},
+                 {64, 0xaf719582fa8742dbULL},
+                 {1'000, 0xaf719582fa8742dbULL}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.stride);
+    cfg.ttl_sweep_stride = c.stride;
+    expect_shards_match_golden(topo, policy, *traffic, cfg, c.golden, &schedule);
   }
 }
 
@@ -204,14 +233,8 @@ TEST(CoreEquivalence, ThreadCountExceedingSwitchesClamps) {
   cfg.vcs = 2;
   cfg.measure_cycles = 600;
   const auto traffic = make_traffic("uniform", 4 * cfg.hosts_per_switch);
-  const RunOutput baseline =
-      run_core(topo, policy, *traffic, cfg, /*legacy=*/true, 1);
-  for (const std::uint32_t threads : {0u, 3u, 16u}) {
-    const RunOutput active =
-        run_core(topo, policy, *traffic, cfg, /*legacy=*/false, threads);
-    EXPECT_EQ(baseline.dump, active.dump) << "sim_threads=" << threads;
-    EXPECT_TRUE(baseline.traces == active.traces) << "sim_threads=" << threads;
-  }
+  expect_shards_match_golden(topo, policy, *traffic, cfg, 0xac56609285afa21dULL,
+                         nullptr, nullptr, {0u, 3u, 16u});
 }
 
 }  // namespace
